@@ -78,6 +78,15 @@ def check_outlier_batch(code: int, got, clean, outlier_row: int
                             np.asarray(clean)[keep])
 
 
+def check_coverage(what: str, covered: float, wall: float, floor: float
+                   ) -> Optional[str]:
+    """Layer spans must account for at least `floor` of the wall time."""
+    if not covered >= floor * wall:
+        return (f"{what}: spans below the CLI and workflow glue cover "
+                f"{covered / wall:.1%} of the wall time, below {floor:.0%}")
+    return None
+
+
 def tree_digest(path) -> str:
     """sha256 over every file's relative path and bytes, in sorted order."""
     h = hashlib.sha256()

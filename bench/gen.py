@@ -10,9 +10,19 @@ benchmark measures.
 ``nuisance=True`` adds what the paper's real-data pretreatment exists
 to remove: a random convex instrument background, a random atmospheric
 oxygen line at 1556 cm^-1 and a random overall gain.
+
+Run as a script, it writes one workload's inputs, so that the memory the
+generator needs is not counted in the measured process's peak:
+
+    python3 bench/gen.py --workload monitor_stream --seed 1 --dir RUN_DIR
 """
 
 from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
 
 import numpy as np
 
@@ -69,13 +79,13 @@ def make_spectra(rng: np.random.Generator, n: int, w: np.ndarray,
 
 
 def write_spectra(path: str, w: np.ndarray, X: np.ndarray, ids) -> None:
-    """One column per sample, as ``spectramap.dataset.load_spectra`` reads."""
-    cols = X.T
-    lines = ["wavenumber," + ",".join(ids)]
-    for wi, row in zip(w, cols):
-        lines.append(repr(float(wi)) + "," + ",".join(map(repr, row.tolist())))
+    """One column per sample, as ``spectramap.dataset.load_spectra`` reads.
+    Written line by line, so no more than one line is held as text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("wavenumber," + ",".join(ids) + "\n")
+        for wi, row in zip(w, X.T):
+            fh.write(repr(float(wi)) + "," + ",".join(map(repr, row.tolist()))
+                     + "\n")
 
 
 def write_sizes(path: str, ids, sizes) -> None:
@@ -83,3 +93,60 @@ def write_sizes(path: str, ids, sizes) -> None:
         fh.write("sample_id,diameter_nm\n")
         for sid, s in zip(ids, sizes.tolist()):
             fh.write(f"{sid},{s!r}\n")
+
+
+def sample_ids(prefix: str, n: int):
+    return [f"{prefix}{i:05d}" for i in range(n)]
+
+
+def hard_model(w, X, n_peaks):
+    """Medium-mode IHM template: the n tallest local maxima of the mean
+    calibration spectrum, half-width 8, half Gaussian."""
+    m = X.mean(axis=0)
+    idx = [i for i in range(1, m.size - 1) if m[i] > m[i - 1] and m[i] > m[i + 1]]
+    idx = sorted(sorted(idx, key=lambda i: -m[i])[:n_peaks])
+    peaks = [{"position": float(w[i]), "intensity": float(m[i]),
+              "shape": 0.5, "hwhm": 8.0} for i in idx]
+    return {"baseline": {"offset": 0.0, "slope": 0.0},
+            "components": [{"name": "seeded", "weight": 1.0, "peaks": peaks}]}
+
+
+def write_inputs(wl, seed: int, run_dir: str) -> None:
+    """The workload's CSV files (and hard model), plus ``inputs.npz`` with
+    the arrays the benchmark checks against."""
+    rng = np.random.default_rng(seed)
+    w = grid(*wl.grid)
+    X, sizes = make_spectra(rng, wl.n_calib, w, wl.noise, wl.nuisance)
+    ids = sample_ids("c", wl.n_calib)
+    write_spectra(os.path.join(run_dir, "spectra.csv"), w, X, ids)
+    write_sizes(os.path.join(run_dir, "sizes.csv"), ids, sizes)
+    arrays = {"w": w, "X": X, "sizes": sizes}
+    if wl.new_batch:
+        X_new, sizes_new = make_spectra(rng, wl.new_batch, w, wl.noise,
+                                        wl.nuisance)
+        write_spectra(os.path.join(run_dir, "new.csv"), w, X_new,
+                      sample_ids("n", wl.new_batch))
+        arrays.update(X_new=X_new, sizes_new=sizes_new)
+    if wl.hard_model_peaks:
+        with open(os.path.join(run_dir, "hard_model.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(hard_model(w, X, wl.hard_model_peaks), fh, indent=1,
+                      sort_keys=True)
+    np.savez(os.path.join(run_dir, "inputs.npz"), **arrays)
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from workloads import WORKLOADS
+
+    ap = argparse.ArgumentParser(description="write one workload's inputs")
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--dir", required=True)
+    args = ap.parse_args(argv)
+    write_inputs(WORKLOADS[args.workload], args.seed, args.dir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,7 @@ they run through ``fit_dmaps`` and ``nystrom_extend``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -76,6 +77,9 @@ SELF_METRIC = {
     "cli.entry": "cli.self_s",
 }
 OTHER = "trace.other_s"  # wrapped spans no named metric claims
+# Self time that is not a layer's work: the CLI and workflow glue, and
+# wrapped functions no named metric claims.  Coverage leaves it out.
+GLUE = frozenset({"cli.self_s", "workflows.self_s", OTHER})
 INCLUSIVE = frozenset({"pls.cv_s", "dmaps.gh_fit_s", "dmaps.gh_predict_s"})
 
 COUNTS = ("dataset.values_parsed", "pretreat.spectra", "dmaps.kernel_entries",
@@ -190,27 +194,41 @@ class Recorder:
 
         return traced
 
-    def self_times(self):
-        """metric -> summed self time, plus one owner metric per span."""
+    def owned_self_times(self):
+        """(metric, self time) of every span, in span order."""
         child = [0.0] * len(self.spans)
         for name, start, end, parent in self.spans:
             if parent >= 0:
                 child[parent] += end - start
-        owner = []
-        totals = defaultdict(float)
+        owned = []
         for i, (name, start, end, parent) in enumerate(self.spans):
-            up = owner[parent] if parent >= 0 else None
+            up = owned[parent][0] if parent >= 0 else None
             metric = up if up in INCLUSIVE else SELF_METRIC.get(name, OTHER)
-            owner.append(metric)
-            totals[metric] += (end - start) - child[i]
+            owned.append((metric, (end - start) - child[i]))
+        return owned
+
+    def self_times(self):
+        """metric -> summed self time."""
+        totals = defaultdict(float)
+        for metric, dt in self.owned_self_times():
+            totals[metric] += dt
         return totals
 
     def covered(self, intervals) -> float:
-        """Seconds of the (start, end) intervals that top-level spans cover."""
-        roots = [(start, end) for _, start, end, parent in self.spans
-                 if parent < 0]
-        return sum(max(0.0, min(end, t1) - max(start, t0))
-                   for t0, t1 in intervals for start, end in roots)
+        """Seconds of the disjoint (start, end) intervals spent in layer
+        self time: the self time of the spans that lie inside an interval,
+        less that of the ``GLUE`` metrics."""
+        intervals = sorted(intervals)
+        starts = [t0 for t0, _ in intervals]
+        total = 0.0
+        for (name, start, end, _), (metric, dt) in zip(
+                self.spans, self.owned_self_times()):
+            if metric in GLUE:
+                continue
+            i = bisect.bisect_right(starts, start) - 1
+            if i >= 0 and end <= intervals[i][1]:
+                total += dt
+        return total
 
     def dump(self, path, extra) -> None:
         doc = {"fields": ["name", "start", "end", "parent"],

@@ -156,6 +156,24 @@ class TestGenerator:
         assert list(ds.sample_ids) == ids
 
 
+    def test_written_inputs_match_the_arrays_checked_against(self, tmp_path):
+        from dataclasses import replace
+
+        from workloads import WORKLOADS
+        wl = replace(WORKLOADS["routes_small"], n_calib=6, new_batch=3)
+        gen.write_inputs(wl, 4, str(tmp_path))
+        dataset = pytest.importorskip("spectramap.dataset")
+        arrays = np.load(tmp_path / "inputs.npz")
+        ds = dataset.load_spectra(tmp_path / "spectra.csv",
+                                  tmp_path / "sizes.csv")
+        new = dataset.load_spectra(tmp_path / "new.csv")
+        assert np.array_equal(ds.intensities, arrays["X"])
+        assert np.array_equal(ds.sizes, arrays["sizes"])
+        assert np.array_equal(new.intensities, arrays["X_new"])
+        assert list(new.sample_ids) == gen.sample_ids("n", 3)
+        assert (tmp_path / "hard_model.json").is_file()
+
+
 class TestSpans:
     def _recorder(self):
         # a fake clock that ticks once per reading makes durations exact
@@ -177,8 +195,35 @@ class TestSpans:
         # the fit inside gh_fit counts as gh_fit time, the other as dmaps.fit_s
         assert totals["dmaps.fit_s"] == 1.0
         assert totals["dmaps.gh_fit_s"] == 3.0
-        assert rec.covered([(start, end)]) == end - start
-        assert rec.covered([(start - 5, start + 1), (end - 2, end + 3)]) == 3.0
+
+    def test_coverage_counts_layer_self_time_only(self):
+        rec, entry = self._recorder()
+        entry()
+        # entry 0-9 and run_workflow 1-8 are glue (2 + 3 of self time);
+        # fit_dmaps 2-3 and gh_fit 4-7 (with its fit 5-6) are the layers
+        assert rec.covered([(0.0, 9.0)]) == 4.0
+        assert rec.covered([(2.0, 7.0)]) == 4.0
+        assert rec.covered([(3.5, 9.0)]) == 3.0
+        # a span that sticks out of every interval is not counted
+        assert rec.covered([(2.5, 6.5)]) == 1.0
+
+    @pytest.mark.parametrize("glue_s, passes", [(4.0, True), (6.0, False)])
+    def test_glue_self_time_can_fail_the_coverage_check(self, glue_s, passes):
+        now = [0.0]
+
+        def advance(dt):
+            now[0] += dt
+
+        rec = spans.Recorder(clock=lambda: now[0])
+        fit = rec.wrap("dmaps.fit_dmaps", lambda: advance(100.0 - glue_s))
+        run = rec.wrap("workflows.run_workflow",
+                       lambda: (advance(glue_s / 2), fit()))
+        entry = rec.wrap("cli.entry", lambda: (advance(glue_s / 2), run()))
+        entry()
+        covered = rec.covered([(0.0, now[0])])
+        assert covered == 100.0 - glue_s
+        msg = checks.check_coverage("train", covered, now[0], 0.95)
+        assert (msg is None) == passes
 
     def test_wrapper_returns_and_counts(self):
         rec = spans.Recorder()

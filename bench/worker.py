@@ -3,7 +3,9 @@
 Started by ``run.py`` with the BLAS and OpenMP pools pinned to one
 thread and ``src/`` on ``PYTHONPATH``.  Phases:
 
-1. generate the workload's spectra from ``--seed`` and write them as CSV;
+1. generate the workload's spectra from ``--seed`` and write them as CSV,
+   in a short-lived child process (``gen.py``), so that the generator's
+   memory does not count in this process's ``peak_rss_mb``;
 2. training run ``a``: ``spectramap train`` for every workflow, in
    process through ``spectramap.cli.entry``;
 3. set-up probes: fresh processes that import ``spectramap.cli`` and
@@ -65,16 +67,8 @@ def write_json(path, doc):
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def hard_model(w, X, n_peaks):
-    """Medium-mode IHM template: the n tallest local maxima of the mean
-    calibration spectrum, half-width 8, half Gaussian."""
-    m = X.mean(axis=0)
-    idx = [i for i in range(1, m.size - 1) if m[i] > m[i - 1] and m[i] > m[i + 1]]
-    idx = sorted(sorted(idx, key=lambda i: -m[i])[:n_peaks])
-    peaks = [{"position": float(w[i]), "intensity": float(m[i]),
-              "shape": 0.5, "hwhm": 8.0} for i in idx]
-    return {"baseline": {"offset": 0.0, "slope": 0.0},
-            "components": [{"name": "seeded", "weight": 1.0, "peaks": peaks}]}
+def max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 class Run:
@@ -88,6 +82,7 @@ class Run:
         self.ops = []            # (kind, start, end) of every timed call
         self.attempted = 0
         self.failed = 0
+        self.rss_after = {}      # phase -> ru_maxrss (MB) when it ended
 
     def check(self, message):
         if message is not None and message not in self.errors:
@@ -106,22 +101,21 @@ class Run:
     # -- phase 1 -------------------------------------------------------
     def generate(self):
         wl = self.wl
-        rng = np.random.default_rng(self.seed)
-        self.w = gen.grid(*wl.grid)
-        self.X, self.sizes = gen.make_spectra(rng, wl.n_calib, self.w,
-                                              wl.noise, wl.nuisance)
-        self.ids = [f"c{i:05d}" for i in range(wl.n_calib)]
-        gen.write_spectra(self.path("spectra.csv"), self.w, self.X, self.ids)
-        gen.write_sizes(self.path("sizes.csv"), self.ids, self.sizes)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(BENCH, "gen.py"), "--workload",
+             wl.name, "--seed", str(self.seed), "--dir", self.dir],
+            capture_output=True, text=True, timeout=60, cwd=ROOT)
+        if proc.returncode != 0:
+            raise SystemExit(f"generator failed: {proc.stderr.strip()}")
+        with np.load(self.path("inputs.npz")) as arrays:
+            self.w, self.X, self.sizes = (arrays["w"], arrays["X"],
+                                          arrays["sizes"])
+            if wl.new_batch:
+                self.X_new = arrays["X_new"]
+                self.sizes_new = arrays["sizes_new"]
+        self.ids = gen.sample_ids("c", wl.n_calib)
         if wl.new_batch:
-            self.X_new, self.sizes_new = gen.make_spectra(
-                rng, wl.new_batch, self.w, wl.noise, wl.nuisance)
-            self.ids_new = [f"n{i:05d}" for i in range(wl.new_batch)]
-            gen.write_spectra(self.path("new.csv"), self.w, self.X_new,
-                              self.ids_new)
-        if wl.hard_model_peaks:
-            write_json(self.path("hard_model.json"),
-                       hard_model(self.w, self.X, wl.hard_model_peaks))
+            self.ids_new = gen.sample_ids("n", wl.new_batch)
 
     # -- phase 2 -------------------------------------------------------
     def train_config(self, workflow):
@@ -142,6 +136,7 @@ class Run:
             self.train_s += dt
             if code != 0:
                 raise SystemExit(f"train {wf} ({rep}): exit code {code}")
+        self.rss_after[f"train_{rep}"] = max_rss_mb()
 
     def check_reruns(self):
         for wf, models in self.models.items():
@@ -254,13 +249,14 @@ class Run:
             self.check(checks.check_rows_match(
                 "stream vs batch", got, source[:len(got)]))
 
-    def measure(self, seconds):
+    def measure(self, seconds, phase):
         """Rounds until `seconds` have passed, at least one."""
         deadline = time.perf_counter() + seconds
         start = self.rounds
         while self.rounds == start or time.perf_counter() < deadline:
             self.one_round(first=self.rounds == 0)
             self.rounds += 1
+        self.rss_after[phase] = max_rss_mb()
 
     def accuracy(self):
         """R2 floors per workflow and pooled RMSE, from round one."""
@@ -295,6 +291,7 @@ class Run:
         if self.rec is not None:
             spans.install(self.rec)
         self.generate()
+        self.rss_after["generate"] = max_rss_mb()
         for wf in self.wl.workflows:
             self.train_config(wf)
         self.train_s = 0.0
@@ -313,10 +310,10 @@ class Run:
         self.grid = self.dataset.WavenumberGrid(self.w)
         self.pipe = self.workflows.load_pipeline(
             self.models[self.wl.stream_workflow])
-        self.measure(self.seconds / 2)
+        self.measure(self.seconds / 2, "rounds_1")
         self.calibrate("b")
         self.check_reruns()
-        self.measure(self.seconds / 2)
+        self.measure(self.seconds / 2, "rounds_2")
         self.accuracy()
 
 
@@ -329,8 +326,7 @@ def end_to_end(run: Run) -> dict:
                                         "spectra/s"),
         "predict_ms_p50": (float(np.percentile(lat_ms, 50)), "ms"),
         "predict_ms_p90": (float(np.percentile(lat_ms, 90)), "ms"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                        * 1024 / 1e6, "MB"),
+        "peak_rss_mb": (max_rss_mb(), "MB"),
         "models_mb": (sum(map(spans.tree_bytes, run.models.values())) / 1e6,
                       "MB"),
     }
@@ -349,14 +345,13 @@ def per_layer(run: Run, cost: float) -> dict:
         wall = sum(t1 - t0 for t0, t1 in ops)
         cov = rec.covered(ops)
         out[f"trace.coverage_{kind}_pct"] = (100.0 * cov / wall, "%")
-        if cov < MIN_COVERAGE * wall:
-            run.check(f"spans cover {cov / wall:.1%} of {kind} wall time, "
-                      f"below {MIN_COVERAGE:.0%}")
+        run.check(checks.check_coverage(kind, cov, wall, MIN_COVERAGE))
     out["trace.spans"] = (len(rec.spans), "count")
     out["trace.overhead_s"] = (len(rec.spans) * cost, "s")
     out["trace.train_s"] = (run.train_s, "s")
     out["trace.predict_ms_p50"] = (
         float(np.percentile(np.asarray(run.latencies) * 1e3, 50)), "ms")
+    out["test_rmse_nm"] = (run.rmse, "nm")
     return out
 
 
@@ -383,7 +378,8 @@ def main(argv=None) -> int:
         print(f"failed operation ({run.failed}x): {run.outlier_reason}",
               file=sys.stderr)
     info = {"rounds": run.rounds, "stream_calls": len(run.latencies),
-            "r2": run.r2, "test_rmse_nm": run.rmse, "errors": run.errors}
+            "r2": run.r2, "test_rmse_nm": run.rmse, "errors": run.errors,
+            "rss_after_mb": run.rss_after}
     print(json.dumps(info, sort_keys=True), file=sys.stderr)
     result = {"correct": not run.errors, "attempted": run.attempted,
               "failed": run.failed,

@@ -30,6 +30,7 @@ class Workload:
     stream_len: int                  # single spectra per round
     new_batch: int = 0               # fresh spectra scored per round
     outlier: bool = False            # also score held-out with one row x1e3
+    # just under the lowest R2 seen over seeds 1-40 (README, "Accuracy")
     r2_floor: Dict[str, float] = field(default_factory=dict)
     hard_model_peaks: int = 0        # > 0: write an IHM model seeded here
 
@@ -55,7 +56,7 @@ WORKLOADS = {
         stream_workflow="altdmaps",
         stream_len=200,
         outlier=True,
-        r2_floor={"altdmaps": 0.99},
+        r2_floor={"altdmaps": 0.993},
     ),
     "routes_small": Workload(
         name="routes_small",
@@ -78,8 +79,8 @@ WORKLOADS = {
         stream_workflow="ihm_pls",
         stream_len=50,
         new_batch=50,
-        r2_floor={"yshaped": 0.95, "direct_dmaps_gbt": 0.99,
-                  "pls_direct": 0.99, "ihm_pls": 0.99},
+        r2_floor={"yshaped": 0.97, "direct_dmaps_gbt": 0.999,
+                  "pls_direct": 0.999, "ihm_pls": 0.999},
         hard_model_peaks=3,
     ),
     "monitor_stream": Workload(
@@ -95,6 +96,6 @@ WORKLOADS = {
         stream_workflow="direct_dmaps_nn",
         stream_len=400,
         new_batch=1200,
-        r2_floor={"direct_dmaps_nn": 0.99},
+        r2_floor={"direct_dmaps_nn": 0.996},
     ),
 }
