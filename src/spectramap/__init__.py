@@ -10,7 +10,6 @@ Submodules:
     mlp        small feed-forward regressor trained by mini-batch SGD
     gbt        second-order gradient-boosted regression trees
     pls        NIPALS partial least squares
-    search     seeded random hyper-parameter search
     conformal  Y-shaped conformal autoencoder
     ihm        pseudo-Voigt hard models and Levenberg-Marquardt fitting
     synth      synthetic datasets with known hidden structure

@@ -31,7 +31,7 @@ from .dataset import _fmt, load_sizes, load_spectra, save_spectra
 from .dmaps import KernelParams, fit_dmaps, nystrom_extend
 from .errors import ConfigError, NumericError
 from .metrics import compute_metrics
-from .report import emit_report, load_report
+from .report import _jsonable, emit_report, load_report
 from .serialize import load_model, save_model
 from .synth import SynthSpec, synth_generate
 from .workflows import (WORKFLOW_NAMES, load_pipeline, pipeline_predict,
@@ -49,18 +49,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -340,46 +340,3 @@ def gh_predict(gh: GhModel, X_new: np.ndarray) -> np.ndarray:
     out = phi_new @ gh.coefficients
     return out[:, 0] if gh.target_is_1d else out
 
-
-def select_coordinates(model: DmapModel, X: np.ndarray, n_coords: int,
-                       n_candidates: Optional[int] = None,
-                       gh_params: Optional[KernelParams] = None,
-                       delta: float = 1e-3):
-    """Pick embedding coordinates by reconstruction accuracy.
-
-    Greedy forward selection over the nontrivial eigenvectors: at each
-    step add the index whose inclusion minimizes the geometric-harmonics
-    round-trip error ||X - lift(phi_selected)||_F / ||X||_F on the
-    training data.  Returns (EigenSelection, final reconstruction error);
-    the selection indices are in greedy order and its residuals are the
-    local-linear-regression novelty scores of the candidate columns
-    (residuals[j] belongs to eigenvector j+1).
-    """
-    if n_candidates is None:
-        n_candidates = model.n_eig - 1
-    n_candidates = min(n_candidates, model.n_eig - 1)
-    if not 1 <= n_coords <= n_candidates:
-        raise ValueError("n_coords must lie in [1, n_candidates]")
-    X = np.asarray(X, dtype=float)
-    candidates = list(range(1, n_candidates + 1))
-    norm_x = np.linalg.norm(X)
-
-    def recon_error(idx_list):
-        gh = gh_fit(model.eigenvectors[:, idx_list], X, params=gh_params, delta=delta)
-        fitted = gh_predict(gh, model.eigenvectors[:, idx_list])
-        return float(np.linalg.norm(fitted - X) / norm_x)
-
-    selected: list = []
-    err = np.inf
-    for _ in range(n_coords):
-        best, best_err = None, np.inf
-        for c in candidates:
-            if c in selected:
-                continue
-            e = recon_error(selected + [c])
-            if e < best_err:
-                best, best_err = c, e
-        selected.append(best)
-        err = best_err
-    llr = local_linear_residual(model.eigenvectors[:, 1:n_candidates + 1])
-    return EigenSelection(indices=tuple(selected), residuals=llr.residuals), err

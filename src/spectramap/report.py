@@ -75,7 +75,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj

@@ -1,8 +1,10 @@
 """Config-driven experiment workflows.
 
 One JSON-style config dict in, one RunReport out.  Every model is fit
-on training rows only; held-out rows enter through the Nystrom
-extension or a fitted predictor.  Rerunning the same config produces
+on training rows only.  The fitted models form an ordered tuple of
+stages from pretreated spectra to sizes; the report's predictions on
+both splits fold that tuple over the spectra, as `pipeline_predict`
+does with the persisted models.  Rerunning the same config produces
 byte-identical reports and model files.
 
 Config layout (each workflow reads only the sections it needs; unknown
@@ -38,8 +40,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .altdmaps import AltDmapModel, alt_coordinates, fit_altdmaps
-from .conformal import (YShapedSpec, decode, encode, orthogonality_score,
-                        predict_size, yae_fit)
+from .conformal import (YShapedModel, YShapedSpec, decode, encode,
+                        orthogonality_score, predict_size, yae_fit)
 from .dataset import SpectraSet, load_spectra, train_test_split
 from .dmaps import (DmapModel, EigenSelection, GhModel, KernelParams,
                     fit_dmaps, gh_fit, gh_predict, local_linear_residual,
@@ -50,21 +52,19 @@ from .ihm import (HardModel, extract_parameters, fit_hard_model,
                   load_hard_model, save_hard_model)
 from .metrics import compute_metrics
 from .mlp import MlpModel, MlpSpec, mlp_fit, mlp_predict
-from .pls import pls_choose_components, pls_fit, pls_predict
+from .pls import PlsModel, pls_choose_components, pls_fit, pls_predict
 from .pretreat import (ColumnScaler, PretreatmentSpec, apply_column_scaler,
                        apply_pretreatment, fit_column_scaler)
 from .report import ParityRow, RunReport, config_hash
 from .serialize import load_model, save_model
 from .synth import SynthSpec, synth_generate
 
-WORKFLOW_NAMES = ("direct_dmaps_nn", "direct_dmaps_gbt", "altdmaps",
-                  "yshaped", "pls_direct", "ihm_pls")
-
 _TOP_KEYS = frozenset({"workflow", "seed", "data", "pretreatment", "split",
                        "dmaps", "regressor", "altdmaps", "yshaped", "pls",
                        "ihm", "out_dir"})
 _MANIFEST_FILE = "manifest.json"
 _HARD_MODEL_FILE = "hard_model.json"
+_IHM_STAGE = "hard_model"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -177,16 +177,88 @@ def _cluster_diag(ctx: RunContext) -> Dict[str, int]:
 
 
 @dataclass(frozen=True)
-class EmbeddingStage:
+class Embed:
+    """Stage: Nystrom coordinates of spectra in a fitted embedding."""
+
     dmap: DmapModel
-    selection: EigenSelection
     indices: Tuple[int, ...]
-    phi_train: np.ndarray
-    phi_test: np.ndarray
-    nystrom_train_mse: float
+
+    @property
+    def phi_train(self) -> np.ndarray:
+        """The exact training eigenvectors the heads are fit on."""
+        return self.dmap.eigenvectors[:, list(self.indices)]
 
 
-def _embed(config: dict, ctx: RunContext) -> EmbeddingStage:
+@dataclass(frozen=True)
+class IhmFeatures:
+    """Stage: peak parameters fitted to each spectrum on the training grid."""
+
+    base: HardModel
+    wavenumbers: np.ndarray
+    mode: str
+    position_bound: float
+    max_iterations: int
+
+
+def _ihm_features(stage: IhmFeatures, X: np.ndarray):
+    """Feature rows plus the unconverged count and the mean SSE."""
+    rows = []
+    unconverged = 0
+    sse_total = 0.0
+    for x in X:
+        result = fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
+                                position_bound=stage.position_bound,
+                                max_iterations=stage.max_iterations)
+        rows.append(extract_parameters(result.model, stage.mode))
+        unconverged += 0 if result.converged else 1
+        sse_total += result.sse
+    return np.array(rows), unconverged, sse_total / len(X)
+
+
+def _apply_stage(stage, X: np.ndarray) -> np.ndarray:
+    """Map one fitted stage's input rows to its output rows."""
+    if isinstance(stage, Embed):
+        return nystrom_extend(stage.dmap, X, stage.indices)
+    if isinstance(stage, IhmFeatures):
+        return _ihm_features(stage, X)[0]
+    if isinstance(stage, MlpModel):
+        return mlp_predict(stage, X)
+    if isinstance(stage, GbtModel):
+        return gbt_predict(stage, X)
+    if isinstance(stage, list):
+        return np.column_stack([gbt_predict(m, X) for m in stage])
+    if isinstance(stage, GhModel):
+        return gh_predict(stage, X)
+    if isinstance(stage, YShapedModel):
+        return predict_size(stage, X)
+    if isinstance(stage, ColumnScaler):
+        return apply_column_scaler(stage, X)
+    if isinstance(stage, PlsModel):
+        return pls_predict(stage, X)
+    raise TypeError(f"not a pipeline stage: {type(stage).__name__}")
+
+
+class _Chain:
+    """Fitted models to persist by name, the names of the prediction
+    stages in order, and both pretreated splits folded through those
+    stages; the report's predictions are the final fold."""
+
+    def __init__(self, ctx: RunContext, **offline):
+        self.parts: Dict[str, object] = dict(offline)
+        self.stages = []
+        self.train = ctx.train.intensities
+        self.test = ctx.test.intensities
+
+    def add(self, name: str, stage, outputs=None) -> None:
+        """Append a stage; `outputs` are its (train, test) rows when the
+        caller already applied it."""
+        self.parts[name] = stage
+        self.stages.append(name)
+        self.train, self.test = outputs or (_apply_stage(stage, self.train),
+                                            _apply_stage(stage, self.test))
+
+
+def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, EigenSelection]:
     cfg = config.get("dmaps", {})
     _check_keys(cfg, ("epsilon", "density_normalize", "n_eig", "coords",
                       "llr_threshold"), "dmaps")
@@ -221,14 +293,18 @@ def _embed(config: dict, ctx: RunContext) -> EmbeddingStage:
     else:
         raise ConfigError(f"dmaps.coords must be 'llr', 'all' or a list, "
                           f"got {coords!r}")
+    return Embed(dmap=model, indices=indices), selection
 
-    phi_train = model.eigenvectors[:, list(indices)]
-    phi_test = nystrom_extend(model, ctx.test.intensities, indices)
-    back = nystrom_extend(model, ctx.train.intensities, indices)
-    mse = float(np.mean((back - phi_train) ** 2))
-    return EmbeddingStage(dmap=model, selection=selection, indices=indices,
-                          phi_train=phi_train, phi_test=phi_test,
-                          nystrom_train_mse=mse)
+
+def _embedded_chain(ctx: RunContext, embed: Embed, **offline):
+    """A chain opened by the embedding stage, and diagnostics comparing
+    the training back-extension with the exact eigenvectors."""
+    chain = _Chain(ctx, **offline)
+    chain.add("dmap", embed)
+    mse = float(np.mean((chain.train - embed.phi_train) ** 2))
+    return chain, {"dmap_epsilon": embed.dmap.epsilon,
+                   "nystrom_train_mse": mse,
+                   "selected_coordinates": list(embed.indices)}
 
 
 def _head_fit(kind: str, cfg: dict, X: np.ndarray, y: np.ndarray, seed: int):
@@ -244,49 +320,31 @@ def _head_fit(kind: str, cfg: dict, X: np.ndarray, y: np.ndarray, seed: int):
     raise ConfigError(f"unknown regressor kind {kind!r}")
 
 
-def _head_predict(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, MlpModel):
-        return mlp_predict(model, X)
-    if isinstance(model, GbtModel):
-        return gbt_predict(model, X)
-    if isinstance(model, GhModel):
-        return gh_predict(model, X)
-    if isinstance(model, list):
-        return np.column_stack([gbt_predict(m, X) for m in model])
-    raise TypeError(f"not a predictor: {type(model).__name__}")
-
-
-def _assemble(config: dict, ctx: RunContext, preds_tr, preds_te,
-              latent_count: int, diagnostics: dict,
-              loss_history=None) -> RunReport:
-    y_tr = ctx.train.sizes
-    y_te = ctx.test.sizes
-    parity = tuple(
-        [ParityRow(sid, float(a), float(p), "train")
-         for sid, a, p in zip(ctx.train.sample_ids, y_tr, preds_tr)]
-        + [ParityRow(sid, float(a), float(p), "test")
-           for sid, a, p in zip(ctx.test.sample_ids, y_te, preds_te)])
-    return RunReport(workflow=config["workflow"],
-                     config_hash=config_hash(config),
-                     train_metrics=compute_metrics(preds_tr, y_tr),
-                     test_metrics=compute_metrics(preds_te, y_te),
-                     latent_count=int(latent_count),
-                     parity=parity,
-                     diagnostics=diagnostics,
-                     loss_history=loss_history)
-
-
-def _persist(config: dict, parts: Dict[str, object],
-             extra: Optional[dict] = None) -> Optional[str]:
-    """Save fitted models under out_dir/models plus a manifest; no-op
-    without an out_dir.  Returns the models directory."""
+def _persist(config: dict, ctx: RunContext, parts: Dict[str, object],
+             stages) -> None:
+    """Save fitted models under out_dir/models plus a manifest naming the
+    prediction stages in order; no-op without an out_dir."""
     out_dir = config.get("out_dir")
     if not out_dir:
-        return None
+        return
     base = os.path.join(os.fspath(out_dir), "models")
     os.makedirs(base, exist_ok=True)
+    manifest = {"workflow": config["workflow"],
+                "config_hash": config_hash(config),
+                "pretreatment": config.get("pretreatment", {}),
+                "grid": ctx.train.grid.values.tolist(),
+                "stages": list(stages)}
     counts = {}
     for name, obj in parts.items():
+        if isinstance(obj, IhmFeatures):
+            save_hard_model(os.path.join(base, _HARD_MODEL_FILE), obj.base)
+            manifest["ihm"] = {"mode": obj.mode,
+                               "position_bound": obj.position_bound,
+                               "max_iterations": obj.max_iterations}
+            continue
+        if isinstance(obj, Embed):
+            manifest["dmap_indices"] = list(obj.indices)
+            obj = obj.dmap
         if isinstance(obj, list):
             counts[name] = len(obj)
             for i, m in enumerate(obj):
@@ -294,108 +352,102 @@ def _persist(config: dict, parts: Dict[str, object],
         else:
             counts[name] = 1
             save_model(os.path.join(base, name), obj)
-    manifest = {"workflow": config["workflow"],
-                "config_hash": config_hash(config),
-                "pretreatment": config.get("pretreatment", {}),
-                "parts": counts}
-    if extra:
-        manifest.update(extra)
+    manifest["parts"] = counts
     with open(os.path.join(base, _MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return base
 
 
-def workflow_direct(config: dict, _ctx: Optional[RunContext] = None) -> RunReport:
+def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
+            diagnostics: dict, loss_history=None) -> RunReport:
+    """Persist the chain's models and report its predictions on both
+    splits."""
+    _persist(config, ctx, chain.parts, chain.stages)
+    diagnostics["intensity_clusters"] = _cluster_diag(ctx)
+    y_tr, y_te = ctx.train.sizes, ctx.test.sizes
+    parity = tuple(
+        [ParityRow(sid, float(a), float(p), "train")
+         for sid, a, p in zip(ctx.train.sample_ids, y_tr, chain.train)]
+        + [ParityRow(sid, float(a), float(p), "test")
+           for sid, a, p in zip(ctx.test.sample_ids, y_te, chain.test)])
+    return RunReport(workflow=config["workflow"],
+                     config_hash=config_hash(config),
+                     train_metrics=compute_metrics(chain.train, y_tr),
+                     test_metrics=compute_metrics(chain.test, y_te),
+                     latent_count=int(latent_count),
+                     parity=parity,
+                     diagnostics=diagnostics,
+                     loss_history=loss_history)
+
+
+def _run_direct(config: dict, ctx: RunContext) -> RunReport:
     """Size straight from the spectral embedding coordinates."""
-    ctx = _ctx if _ctx is not None else _prepare(config)
     kind = {"direct_dmaps_nn": "nn", "direct_dmaps_gbt": "gbt"}[config["workflow"]]
-    emb = _embed(config, ctx)
-    head = _head_fit(kind, config.get("regressor", {}),
-                     emb.phi_train, ctx.train.sizes, _top_seed(config))
-    preds_tr = _head_predict(head, emb.phi_train)
-    preds_te = _head_predict(head, emb.phi_test)
-    diagnostics = {
-        "dmap_epsilon": emb.dmap.epsilon,
-        "nystrom_train_mse": emb.nystrom_train_mse,
-        "selected_coordinates": list(emb.indices),
-        "llr_residuals": emb.selection.residuals,
-        "intensity_clusters": _cluster_diag(ctx),
-    }
-    report = _assemble(config, ctx, preds_tr, preds_te,
-                       len(emb.indices), diagnostics)
-    _persist(config,
-             {"dmap": emb.dmap, "dmap_selection": emb.selection,
-              "size_regressor": head},
-             extra={"dmap_indices": list(emb.indices)})
-    return report
+    embed, selection = _embed(config, ctx)
+    chain, diagnostics = _embedded_chain(ctx, embed, dmap_selection=selection)
+    diagnostics["llr_residuals"] = selection.residuals
+    chain.add("size_regressor",
+              _head_fit(kind, config.get("regressor", {}), embed.phi_train,
+                        ctx.train.sizes, _top_seed(config)))
+    return _finish(config, ctx, chain, len(embed.indices), diagnostics)
 
 
 @dataclass(frozen=True)
 class AltOfflineModels:
-    """Persisted outcome of the two offline steps."""
+    """Outcome of the two offline steps."""
 
-    dmap: DmapModel
+    embed: Embed
     dmap_selection: EigenSelection
-    dmap_indices: Tuple[int, ...]
     alt: AltDmapModel
     alt_selection: EigenSelection
 
-
-_ALT_KEYS = ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
-             "density_normalize", "llr_threshold", "gh_delta",
-             "alt_regressor", "size_regressor",
-             "alt_regressor_config", "size_regressor_config")
+    def parts(self) -> Dict[str, object]:
+        return {"dmap": self.embed, "dmap_selection": self.dmap_selection,
+                "altdmap": self.alt, "alt_selection": self.alt_selection}
 
 
-def workflow_altdmaps_offline(config: dict,
-                              _ctx: Optional[RunContext] = None
-                              ) -> AltOfflineModels:
-    """Offline steps: embed the training spectra, then find the
-    variable common to that embedding and the size readings."""
-    ctx = _ctx if _ctx is not None else _prepare(config)
-    emb = _embed(config, ctx)
+def _alt_offline(config: dict, ctx: RunContext) -> AltOfflineModels:
+    embed, selection = _embed(config, ctx)
     cfg = config.get("altdmaps", {})
-    _check_keys(cfg, _ALT_KEYS, "altdmaps")
+    _check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
+                      "density_normalize", "llr_threshold", "gh_delta",
+                      "alt_regressor", "size_regressor",
+                      "alt_regressor_config", "size_regressor_config"),
+                "altdmaps")
     n_train = ctx.train.n_samples
     n_eig = int(cfg.get("n_eig", min(10, n_train - 1)))
     dn = bool(cfg.get("density_normalize", True))
     p1 = KernelParams(epsilon=cfg.get("epsilon1"), density_normalize=dn)
     p2 = KernelParams(epsilon=cfg.get("epsilon2"), density_normalize=dn)
     sizes_col = np.asarray(ctx.train.sizes, dtype=float)[:, None]
-    alt = fit_altdmaps(emb.phi_train, sizes_col, p1, p2, n_eig=n_eig)
+    alt = fit_altdmaps(embed.phi_train, sizes_col, p1, p2, n_eig=n_eig)
     _require(alt.eigenvalues.size >= 3, "altdmaps.n_eig must be >= 3")
     llr = local_linear_residual(alt.eigenvectors[:, 1:],
                                 threshold=float(cfg.get("llr_threshold", 0.5)))
     alt_selection = EigenSelection(indices=tuple(i + 1 for i in llr.indices),
                                    residuals=llr.residuals)
-    models = AltOfflineModels(dmap=emb.dmap, dmap_selection=emb.selection,
-                              dmap_indices=emb.indices, alt=alt,
-                              alt_selection=alt_selection)
-    _persist(config,
-             {"dmap": emb.dmap, "dmap_selection": emb.selection,
-              "altdmap": alt, "alt_selection": alt_selection},
-             extra={"dmap_indices": list(emb.indices)})
+    return AltOfflineModels(embed=embed, dmap_selection=selection, alt=alt,
+                            alt_selection=alt_selection)
+
+
+def workflow_altdmaps_offline(config: dict) -> AltOfflineModels:
+    """Offline steps alone: embed the training spectra, find the variable
+    common to that embedding and the sizes, persist the four models."""
+    ctx = _prepare(config)
+    models = _alt_offline(config, ctx)
+    _persist(config, ctx, models.parts(), ())
     return models
 
 
-def workflow_altdmaps_online(config: dict,
-                             models: Optional[AltOfflineModels] = None,
-                             _ctx: Optional[RunContext] = None) -> RunReport:
-    """Online chain: Nystrom coordinates for new spectra, regress the
-    common coordinates from them, then the size from the common ones."""
-    ctx = _ctx if _ctx is not None else _prepare(config)
-    if models is None:
-        models = workflow_altdmaps_offline(config, _ctx=ctx)
+def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
+    """Offline steps, then the online chain: Nystrom coordinates for new
+    spectra, regress the common coordinates from them, then the size
+    from the common ones."""
+    models = _alt_offline(config, ctx)
     cfg = config.get("altdmaps", {})
-    _check_keys(cfg, _ALT_KEYS, "altdmaps")
     seed = _top_seed(config)
-
-    indices = models.dmap_indices
-    phi_tr = models.dmap.eigenvectors[:, list(indices)]
-    phi_te = nystrom_extend(models.dmap, ctx.test.intensities, indices)
-    back = nystrom_extend(models.dmap, ctx.train.intensities, indices)
-    nystrom_mse = float(np.mean((back - phi_tr) ** 2))
+    phi = models.embed.phi_train
+    chain, diagnostics = _embedded_chain(ctx, models.embed, **models.parts())
 
     n_alt_max = models.alt.eigenvalues.size - 1
     n_alt = int(cfg.get("n_alt_coords", min(6, n_alt_max)))
@@ -406,133 +458,90 @@ def workflow_altdmaps_online(config: dict,
 
     alt_kind = cfg.get("alt_regressor", "gh")
     if alt_kind == "gh":
-        f_alt = gh_fit(phi_tr, psi_tr, params=KernelParams(),
+        f_alt = gh_fit(phi, psi_tr, params=KernelParams(),
                        delta=float(cfg.get("gh_delta", 1e-3)))
     elif alt_kind == "gbt":
         f_alt = _head_fit("gbt", cfg.get("alt_regressor_config", {}),
-                          phi_tr, psi_tr, seed)
+                          phi, psi_tr, seed)
     else:
         raise ConfigError(f"altdmaps.alt_regressor must be 'gh' or 'gbt', "
                           f"got {alt_kind!r}")
-    psi_hat_tr = _head_predict(f_alt, phi_tr)
-    psi_hat_te = _head_predict(f_alt, phi_te)
+    chain.add("alt_regressor", f_alt)
+    psi_hat_tr = chain.train
 
     size_kind = cfg.get("size_regressor", "nn")
     _require(size_kind in ("nn", "gbt"),
              f"altdmaps.size_regressor must be 'nn' or 'gbt', got {size_kind!r}")
     f_size = _head_fit(size_kind, cfg.get("size_regressor_config", {}),
                        psi_tr, ctx.train.sizes, seed)
-    preds_tr = _head_predict(f_size, psi_hat_tr)
-    preds_te = _head_predict(f_size, psi_hat_te)
+    chain.add("size_regressor", f_size)
 
     y_tr = ctx.train.sizes
-    diagnostics = {
-        "dmap_epsilon": models.dmap.epsilon,
-        "nystrom_train_mse": nystrom_mse,
-        "selected_coordinates": list(indices),
+    diagnostics.update({
         "alt_coordinates_used": list(alt_idx),
         "alt_selected_indices": list(models.alt_selection.indices),
         "alt_llr_residuals": models.alt_selection.residuals,
         "alt_eigenvalues": models.alt.eigenvalues,
         "altdmap_prediction_mse": float(np.mean((psi_hat_tr - psi_tr) ** 2)),
         "size_r2_actual_alt_train":
-            compute_metrics(_head_predict(f_size, psi_tr), y_tr).r2,
-        "size_r2_predicted_alt_train": compute_metrics(preds_tr, y_tr).r2,
-        "intensity_clusters": _cluster_diag(ctx),
-    }
-    report = _assemble(config, ctx, preds_tr, preds_te, n_alt, diagnostics)
-    _persist(config,
-             {"dmap": models.dmap, "dmap_selection": models.dmap_selection,
-              "altdmap": models.alt, "alt_selection": models.alt_selection,
-              "alt_regressor": f_alt, "size_regressor": f_size},
-             extra={"dmap_indices": list(indices),
-                    "alt_indices": list(alt_idx)})
-    return report
+            compute_metrics(_apply_stage(f_size, psi_tr), y_tr).r2,
+        "size_r2_predicted_alt_train": compute_metrics(chain.train, y_tr).r2,
+    })
+    return _finish(config, ctx, chain, n_alt, diagnostics)
 
 
-def workflow_yshaped(config: dict, _ctx: Optional[RunContext] = None) -> RunReport:
+def _run_yshaped(config: dict, ctx: RunContext) -> RunReport:
     """Embedding, then the conformal autoencoder whose first latent
     coordinate carries the size."""
-    ctx = _ctx if _ctx is not None else _prepare(config)
-    emb = _embed(config, ctx)
+    embed, selection = _embed(config, ctx)
+    chain, diagnostics = _embedded_chain(ctx, embed, dmap_selection=selection)
+    diagnostics["llr_residuals"] = selection.residuals
     spec = _spec_from(YShapedSpec, config.get("yshaped", {}), "yshaped",
                       seed=_top_seed(config))
-    model, history = yae_fit(emb.phi_train, ctx.train.sizes, spec)
-    preds_tr = predict_size(model, emb.phi_train)
-    preds_te = predict_size(model, emb.phi_test)
-    recon = decode(model, encode(model, emb.phi_train))
-    rel_l2 = float(np.linalg.norm(recon - emb.phi_train)
-                   / np.linalg.norm(emb.phi_train))
-    diagnostics = {
-        "dmap_epsilon": emb.dmap.epsilon,
-        "nystrom_train_mse": emb.nystrom_train_mse,
-        "selected_coordinates": list(emb.indices),
-        "llr_residuals": emb.selection.residuals,
-        "reconstruction_l2": rel_l2,
-        "orthogonality": orthogonality_score(model, emb.phi_train),
-        "intensity_clusters": _cluster_diag(ctx),
-    }
+    phi = embed.phi_train
+    model, history = yae_fit(phi, ctx.train.sizes, spec)
+    chain.add("yae", model)
+    recon = decode(model, encode(model, phi))
+    diagnostics["reconstruction_l2"] = float(np.linalg.norm(recon - phi)
+                                             / np.linalg.norm(phi))
+    diagnostics["orthogonality"] = orthogonality_score(model, phi)
     # one latent coordinate feeds the size head
-    report = _assemble(config, ctx, preds_tr, preds_te, 1, diagnostics,
-                       loss_history=tuple(history))
-    _persist(config,
-             {"dmap": emb.dmap, "dmap_selection": emb.selection, "yae": model},
-             extra={"dmap_indices": list(emb.indices)})
-    return report
+    return _finish(config, ctx, chain, 1, diagnostics,
+                   loss_history=tuple(history))
 
 
-def _ihm_features(dataset: SpectraSet, base: HardModel, mode: str,
-                  position_bound: float, max_iterations: int):
-    rows = []
-    unconverged = 0
-    sse_total = 0.0
-    w = dataset.grid.values
-    for i in range(dataset.n_samples):
-        result = fit_hard_model(base, w, dataset.intensities[i], mode,
-                                position_bound=position_bound,
-                                max_iterations=max_iterations)
-        rows.append(extract_parameters(result.model, mode))
-        unconverged += 0 if result.converged else 1
-        sse_total += result.sse
-    return np.array(rows), unconverged, sse_total / dataset.n_samples
-
-
-def workflow_pls(config: dict, _ctx: Optional[RunContext] = None) -> RunReport:
+def _run_pls(config: dict, ctx: RunContext) -> RunReport:
     """Latent-variable linear benchmark, optionally on peak-fit
     parameters instead of raw intensities."""
-    ctx = _ctx if _ctx is not None else _prepare(config)
-    use_ihm = config["workflow"] == "ihm_pls"
     cfg = config.get("pls", {})
     _check_keys(cfg, ("k_max", "folds", "seed", "zscore"), "pls")
-    diagnostics: dict = {"intensity_clusters": _cluster_diag(ctx)}
-
-    if use_ihm:
+    chain = _Chain(ctx)
+    diagnostics: dict = {}
+    if config["workflow"] == "ihm_pls":
         icfg = config.get("ihm", {})
         _check_keys(icfg, ("model_json", "mode", "position_bound",
                            "max_iterations"), "ihm")
         _require(isinstance(icfg.get("model_json"), str),
                  "ihm.model_json must be a file path")
-        base = load_hard_model(icfg["model_json"])
-        mode = icfg.get("mode", "medium")
-        bound = float(icfg.get("position_bound", 5.0))
-        max_iter = int(icfg.get("max_iterations", 200))
-        F_tr, unc_tr, sse_tr = _ihm_features(ctx.train, base, mode, bound,
-                                             max_iter)
-        F_te, unc_te, sse_te = _ihm_features(ctx.test, base, mode, bound,
-                                             max_iter)
+        ihm = IhmFeatures(base=load_hard_model(icfg["model_json"]),
+                          wavenumbers=ctx.train.grid.values,
+                          mode=icfg.get("mode", "medium"),
+                          position_bound=float(icfg.get("position_bound", 5.0)),
+                          max_iterations=int(icfg.get("max_iterations", 200)))
+        F_tr, unc_tr, sse_tr = _ihm_features(ihm, ctx.train.intensities)
+        F_te, unc_te, sse_te = _ihm_features(ihm, ctx.test.intensities)
+        chain.add(_IHM_STAGE, ihm, outputs=(F_tr, F_te))
         diagnostics.update({"ihm_unconverged_train": unc_tr,
                             "ihm_unconverged_test": unc_te,
                             "ihm_mean_sse_train": sse_tr,
                             "ihm_mean_sse_test": sse_te})
-    else:
-        F_tr = ctx.train.intensities
-        F_te = ctx.test.intensities
 
     try:
-        scaler, Z_tr = fit_column_scaler(F_tr, bool(cfg.get("zscore", True)))
+        scaler, Z_tr = fit_column_scaler(chain.train,
+                                         bool(cfg.get("zscore", True)))
     except ValueError as e:
         raise NumericError(str(e)) from e
-    Z_te = apply_column_scaler(scaler, F_te)
+    chain.add("scaler", scaler)
     diagnostics["kept_feature_columns"] = int(scaler.keep.sum())
 
     n_train = ctx.train.n_samples
@@ -543,20 +552,16 @@ def workflow_pls(config: dict, _ctx: Optional[RunContext] = None) -> RunReport:
     seed = int(cfg.get("seed", _top_seed(config)))
     y_tr = ctx.train.sizes
     k, cv_mse = pls_choose_components(Z_tr, y_tr, k_max, folds=folds, seed=seed)
-    model = pls_fit(Z_tr, y_tr, k)
-    preds_tr = pls_predict(model, Z_tr)
-    preds_te = pls_predict(model, Z_te)
+    chain.add("pls", pls_fit(Z_tr, y_tr, k))
     diagnostics["pls_components"] = k
     diagnostics["pls_cv_mse"] = cv_mse
+    return _finish(config, ctx, chain, k, diagnostics)
 
-    report = _assemble(config, ctx, preds_tr, preds_te, k, diagnostics)
-    models_dir = _persist(config, {"pls": model, "scaler": scaler},
-                          extra=None if not use_ihm else
-                          {"ihm": {"mode": mode, "position_bound": bound,
-                                   "max_iterations": max_iter}})
-    if models_dir and use_ihm:
-        save_hard_model(os.path.join(models_dir, _HARD_MODEL_FILE), base)
-    return report
+
+_RUNNERS = {"direct_dmaps_nn": _run_direct, "direct_dmaps_gbt": _run_direct,
+            "altdmaps": _run_altdmaps, "yshaped": _run_yshaped,
+            "pls_direct": _run_pls, "ihm_pls": _run_pls}
+WORKFLOW_NAMES = tuple(_RUNNERS)
 
 
 def run_workflow(config: dict) -> RunReport:
@@ -565,65 +570,58 @@ def run_workflow(config: dict) -> RunReport:
     workflow = config.get("workflow")
     _require(workflow in WORKFLOW_NAMES,
              f"workflow must be one of {list(WORKFLOW_NAMES)}, got {workflow!r}")
-    if workflow in ("direct_dmaps_nn", "direct_dmaps_gbt"):
-        return workflow_direct(config)
-    if workflow == "altdmaps":
-        ctx = _prepare(config)
-        models = workflow_altdmaps_offline(config, _ctx=ctx)
-        return workflow_altdmaps_online(config, models, _ctx=ctx)
-    if workflow == "yshaped":
-        return workflow_yshaped(config)
-    return workflow_pls(config)
+    return _RUNNERS[workflow](config, _prepare(config))
 
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Reloaded models plus the manifest needed to predict new spectra."""
+    """Fitted stages in prediction order, the manifest they were saved
+    with, and the post-pretreatment training wavenumber grid."""
 
     manifest: dict
-    parts: Dict[str, object]
+    stages: Tuple[object, ...]
+    grid: np.ndarray
 
 
 def load_pipeline(models_dir) -> Pipeline:
     models_dir = os.fspath(models_dir)
     with open(os.path.join(models_dir, _MANIFEST_FILE), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    parts: Dict[str, object] = {}
-    for name, count in manifest["parts"].items():
+    _require("grid" in manifest,
+             f"{models_dir}: manifest records no training wavenumber grid")
+    _require(bool(manifest.get("stages")),
+             f"{models_dir}: manifest names no prediction stages")
+    grid = np.asarray(manifest["grid"], dtype=float)
+    stages = []
+    for name in manifest["stages"]:
+        if name == _IHM_STAGE:
+            base = load_hard_model(os.path.join(models_dir, _HARD_MODEL_FILE))
+            stages.append(IhmFeatures(base, grid, **manifest["ihm"]))
+            continue
+        count = manifest["parts"][name]
         if count == 1:
-            parts[name] = load_model(os.path.join(models_dir, name))
+            model = load_model(os.path.join(models_dir, name))
         else:
-            parts[name] = [load_model(os.path.join(models_dir, name, str(i)))
-                           for i in range(count)]
-    if "ihm" in manifest:
-        parts["hard_model"] = load_hard_model(
-            os.path.join(models_dir, _HARD_MODEL_FILE))
-    return Pipeline(manifest=manifest, parts=parts)
+            model = [load_model(os.path.join(models_dir, name, str(i)))
+                     for i in range(count)]
+        if isinstance(model, DmapModel):
+            model = Embed(dmap=model, indices=tuple(manifest["dmap_indices"]))
+        stages.append(model)
+    return Pipeline(manifest=manifest, stages=tuple(stages), grid=grid)
 
 
 def pipeline_predict(pipe: Pipeline, spectra: SpectraSet) -> np.ndarray:
-    """Predict sizes for new spectra with a persisted workflow."""
-    workflow = pipe.manifest["workflow"]
+    """Predict sizes for new spectra with a persisted workflow.  The
+    pretreated spectra must lie on exactly the training grid."""
     pre = _pretreatment_spec(pipe.manifest.get("pretreatment", {}))
     ds = apply_pretreatment(spectra, pre)
-    if workflow in ("direct_dmaps_nn", "direct_dmaps_gbt", "yshaped",
-                    "altdmaps"):
-        indices = tuple(pipe.manifest["dmap_indices"])
-        phi = nystrom_extend(pipe.parts["dmap"], ds.intensities, indices)
-        if workflow == "yshaped":
-            return predict_size(pipe.parts["yae"], phi)
-        if workflow == "altdmaps":
-            psi = _head_predict(pipe.parts["alt_regressor"], phi)
-            return _head_predict(pipe.parts["size_regressor"], psi)
-        return _head_predict(pipe.parts["size_regressor"], phi)
-    if workflow in ("pls_direct", "ihm_pls"):
-        if workflow == "ihm_pls":
-            icfg = pipe.manifest["ihm"]
-            F = _ihm_features(ds, pipe.parts["hard_model"], icfg["mode"],
-                              icfg["position_bound"],
-                              icfg["max_iterations"])[0]
-        else:
-            F = ds.intensities
-        Z = apply_column_scaler(pipe.parts["scaler"], F)
-        return pls_predict(pipe.parts["pls"], Z)
-    raise ConfigError(f"manifest names unknown workflow {workflow!r}")
+    grid = ds.grid.values
+    _require(np.array_equal(grid, pipe.grid),
+             f"spectra are not on the training wavenumber grid: after "
+             f"pretreatment {grid.size} points over {grid[0]:g}-{grid[-1]:g} "
+             f"cm^-1, expected {pipe.grid.size} over "
+             f"{pipe.grid[0]:g}-{pipe.grid[-1]:g}")
+    X = ds.intensities
+    for stage in pipe.stages:
+        X = _apply_stage(stage, X)
+    return X

@@ -18,7 +18,6 @@ from spectramap.dmaps import (
     markov_normalize,
     nystrom_extend,
     pairwise_sq_distances,
-    select_coordinates,
 )
 from spectramap.errors import NumericError
 
@@ -235,17 +234,3 @@ class TestGeometricHarmonics:
         with pytest.raises(ValueError):
             gh_fit(t, np.zeros(30), delta=1.5)
 
-
-class TestSelectCoordinates:
-    def test_greedy_picks_independent_directions(self):
-        # planar rectangle: the second independent direction must beat
-        # the first direction's harmonic for reconstruction
-        rng = np.random.default_rng(5)
-        n = 300
-        X = np.column_stack([rng.uniform(0, 1, n), rng.uniform(0, 0.6, n)])
-        model = fit_dmaps(X, KernelParams(epsilon=0.25), n_eig=7)
-        sel, err = select_coordinates(model, X, n_coords=2, n_candidates=4)
-        assert sel.indices[0] == 1
-        assert set(sel.indices) == {1, 2}
-        assert err < 0.05
-        assert sel.residuals.shape == (4,)
