@@ -2,6 +2,7 @@
 from vibrational spectra.
 
 Submodules:
+    config     JSON config key checks and spec building
     dataset    spectra containers, CSV persistence, splits
     pretreat   region filtering, baselines, normalization
     metrics    regression quality metrics

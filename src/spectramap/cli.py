@@ -27,16 +27,16 @@ from typing import Optional
 import numpy as np
 
 from .altdmaps import fit_altdmaps
-from .dataset import _fmt, load_sizes, load_spectra, save_spectra
-from .dmaps import KernelParams, fit_dmaps, nystrom_extend
+from .config import check_keys, pretreatment_spec, spec_from
+from .dataset import format_float, load_sizes, load_spectra, save_spectra
+from .dmaps import DmapModel, Embed, KernelParams, fit_dmaps, nystrom_extend
 from .errors import ConfigError, NumericError
 from .metrics import compute_metrics
-from .report import _jsonable, emit_report, load_report
+from .report import emit_report, jsonable, load_report
 from .serialize import load_model, save_model
 from .synth import SynthSpec, synth_generate
 from .workflows import (WORKFLOW_NAMES, load_pipeline, pipeline_predict,
-                        run_workflow, _check_keys, _pretreatment_spec,
-                        _spec_from)
+                        run_workflow)
 from .pretreat import apply_pretreatment
 
 
@@ -61,23 +61,23 @@ def _cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    spec = _spec_from(SynthSpec, cfg, "synth config")
+    spec = spec_from(SynthSpec, cfg, "synth config")
     dataset, sidecar = synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)
     save_spectra(dataset, os.path.join(args.out, "spectra.csv"),
                  os.path.join(args.out, "sizes.csv"))
-    _write_json(os.path.join(args.out, "sidecar.json"), _jsonable(sidecar))
+    _write_json(os.path.join(args.out, "sidecar.json"), jsonable(sidecar))
     print(f"wrote {dataset.n_samples} spectra to {args.out}")
     return 0
 
 
 def _cmd_preprocess(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("spectra", "sizes", "pretreatment"), "preprocess config")
+    check_keys(cfg, ("spectra", "sizes", "pretreatment"), "preprocess config")
     if not isinstance(cfg.get("spectra"), str):
         raise ConfigError("preprocess config needs a 'spectra' path")
     dataset = load_spectra(cfg["spectra"], cfg.get("sizes"))
-    spec = _pretreatment_spec(cfg.get("pretreatment", {}))
+    spec = pretreatment_spec(cfg.get("pretreatment", {}))
     treated = apply_pretreatment(dataset, spec)
     os.makedirs(args.out, exist_ok=True)
     sizes_path = (os.path.join(args.out, "sizes.csv")
@@ -89,14 +89,14 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_dmap_fit(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("spectra", "dmaps"), "dmap fit config")
+    check_keys(cfg, ("spectra", "dmaps"), "dmap fit config")
     if not isinstance(cfg.get("spectra"), str):
         raise ConfigError("dmap fit config needs a 'spectra' path")
     dataset = load_spectra(cfg["spectra"])
     dcfg = dict(cfg.get("dmaps", {}))
-    _check_keys(dcfg, ("epsilon", "density_normalize", "n_eig"), "dmaps")
+    check_keys(dcfg, ("epsilon", "density_normalize", "n_eig"), "dmaps")
     n_eig = int(dcfg.pop("n_eig", min(10, dataset.n_samples - 1)))
-    params = _spec_from(KernelParams, dcfg, "dmaps")
+    params = spec_from(KernelParams, dcfg, "dmaps")
     model = fit_dmaps(dataset.intensities, params, n_eig=n_eig)
     save_model(args.out, model)
     print(f"fitted {n_eig} eigenpairs, epsilon={model.epsilon!r}; "
@@ -106,11 +106,15 @@ def _cmd_dmap_fit(args) -> int:
 
 def _cmd_dmap_extend(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("model", "spectra", "indices"), "dmap extend config")
+    check_keys(cfg, ("model", "spectra", "indices"), "dmap extend config")
     for key in ("model", "spectra"):
         if not isinstance(cfg.get(key), str):
             raise ConfigError(f"dmap extend config needs a '{key}' path")
     model = load_model(cfg["model"])
+    model = model.dmap if isinstance(model, Embed) else model
+    if not isinstance(model, DmapModel):
+        raise ConfigError(f"{cfg['model']} holds {type(model).__name__}, "
+                          f"not a diffusion map")
     dataset = load_spectra(cfg["spectra"])
     indices = cfg.get("indices")
     phi = nystrom_extend(model, dataset.intensities,
@@ -120,14 +124,14 @@ def _cmd_dmap_extend(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id"] + [f"phi_{i}" for i in cols])
         for sid, row in zip(dataset.sample_ids, phi):
-            writer.writerow([sid] + [_fmt(v) for v in row])
+            writer.writerow([sid] + [format_float(v) for v in row])
     print(f"wrote {phi.shape[0]} x {phi.shape[1]} coordinates to {args.out}")
     return 0
 
 
 def _cmd_alt_fit(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("sensor1", "sensor2", "altdmaps"), "alt fit config")
+    check_keys(cfg, ("sensor1", "sensor2", "altdmaps"), "alt fit config")
     for key in ("sensor1", "sensor2"):
         if not isinstance(cfg.get(key), str):
             raise ConfigError(f"alt fit config needs a '{key}' path")
@@ -136,8 +140,8 @@ def _cmd_alt_fit(args) -> int:
     if s1.sample_ids != s2.sample_ids:
         raise ConfigError("sensor files disagree on sample ids")
     acfg = cfg.get("altdmaps", {})
-    _check_keys(acfg, ("n_eig", "epsilon1", "epsilon2", "density_normalize"),
-                "altdmaps")
+    check_keys(acfg, ("n_eig", "epsilon1", "epsilon2", "density_normalize"),
+               "altdmaps")
     dn = bool(acfg.get("density_normalize", True))
     model = fit_altdmaps(
         s1.intensities, s2.intensities,
@@ -173,7 +177,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("models", "spectra"), "predict config")
+    check_keys(cfg, ("models", "spectra"), "predict config")
     for key in ("models", "spectra"):
         if not isinstance(cfg.get(key), str):
             raise ConfigError(f"predict config needs a '{key}' path")
@@ -184,14 +188,14 @@ def _cmd_predict(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "diameter_nm"])
         for sid, val in zip(dataset.sample_ids, np.asarray(preds).ravel()):
-            writer.writerow([sid, _fmt(val)])
+            writer.writerow([sid, format_float(val)])
     print(f"wrote {dataset.n_samples} predictions to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("predictions", "sizes"), "evaluate config")
+    check_keys(cfg, ("predictions", "sizes"), "evaluate config")
     for key in ("predictions", "sizes"):
         if not isinstance(cfg.get(key), str):
             raise ConfigError(f"evaluate config needs a '{key}' path")
@@ -213,7 +217,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("report",), "report config")
+    check_keys(cfg, ("report",), "report config")
     if not isinstance(cfg.get("report"), str):
         raise ConfigError("report config needs a 'report' path")
     report = load_report(cfg["report"])

@@ -80,27 +80,25 @@ class YShapedSpec:
             raise ValueError("bad optimizer settings")
 
 
+@dataclass(eq=False)
 class SubNet:
     """Dense stack with a linear final layer."""
 
-    def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray],
-                 activation: str):
-        self.weights = weights
-        self.biases = biases
-        self.activation = activation
+    weights: List[np.ndarray]
+    biases: List[np.ndarray]
+    activation: str
 
 
+@dataclass(eq=False)
 class YShapedModel:
-    def __init__(self, spec: YShapedSpec, encoder: SubNet, decoder: SubNet,
-                 head: SubNet, x_mean, x_sd, y_mean, y_sd):
-        self.spec = spec
-        self.encoder = encoder
-        self.decoder = decoder
-        self.head = head
-        self.x_mean = x_mean
-        self.x_sd = x_sd
-        self.y_mean = y_mean
-        self.y_sd = y_sd
+    spec: YShapedSpec
+    encoder: SubNet
+    decoder: SubNet
+    head: SubNet
+    x_mean: np.ndarray
+    x_sd: np.ndarray
+    y_mean: np.ndarray
+    y_sd: np.ndarray
 
 
 def _act_funcs(name):

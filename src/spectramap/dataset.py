@@ -97,7 +97,7 @@ class SpectraSet:
         return SpectraSet(grid, X, self.sample_ids, self.sizes)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     # repr round-trips float64 exactly
     return repr(float(x))
 
@@ -149,7 +149,8 @@ def save_spectra(dataset: SpectraSet, path, sizes_path=None) -> None:
         writer.writerow(["wavenumber"] + list(dataset.sample_ids))
         X = dataset.intensities
         for i, w in enumerate(dataset.grid.values):
-            writer.writerow([_fmt(w)] + [_fmt(v) for v in X[:, i]])
+            writer.writerow([format_float(w)]
+                            + [format_float(v) for v in X[:, i]])
     if sizes_path is not None:
         if dataset.sizes is None:
             raise ValueError("dataset has no sizes to save")
@@ -179,7 +180,7 @@ def save_sizes(table: dict, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "diameter_nm"])
         for sid, val in table.items():
-            writer.writerow([sid, _fmt(val)])
+            writer.writerow([sid, format_float(val)])
 
 
 def split_indices(n: int, n_test: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -101,6 +101,19 @@ class EigenSelection:
     residuals: np.ndarray
 
 
+@dataclass(frozen=True)
+class Embed:
+    """Pipeline stage: Nystrom coordinates of spectra in a fitted embedding."""
+
+    dmap: DmapModel
+    indices: Tuple[int, ...]
+
+    @property
+    def phi_train(self) -> np.ndarray:
+        """The exact training eigenvectors the heads are fit on."""
+        return self.dmap.eigenvectors[:, list(self.indices)]
+
+
 def pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
     """Symmetric matrix of squared Euclidean distances with a zero diagonal."""
     X = np.asarray(X, dtype=float)

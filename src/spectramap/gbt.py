@@ -39,13 +39,12 @@ class GbtSpec:
             raise ValueError("bad leaf constraints")
 
 
+@dataclass(eq=False)
 class GbtModel:
-    def __init__(self, spec: GbtSpec, base_score: float, trees: List[dict],
-                 train_mse: List[float]):
-        self.spec = spec
-        self.base_score = base_score
-        self.trees = trees
-        self.train_mse = train_mse
+    spec: GbtSpec
+    base_score: float
+    trees: List[dict]
+    train_mse: List[float]
 
 
 def _best_split(X, g, h, idx, min_leaf, lam):

@@ -88,6 +88,17 @@ class HardModel:
 
 
 @dataclass(frozen=True)
+class IhmFeatures:
+    """Pipeline stage: peak parameters fitted per spectrum on a fixed grid."""
+
+    base: HardModel
+    wavenumbers: np.ndarray
+    mode: str
+    position_bound: float
+    max_iterations: int
+
+
+@dataclass(frozen=True)
 class FitResult:
     model: HardModel
     sse: float
@@ -286,6 +297,22 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
             if lam > LM_LAMBDA_MAX:
                 break
     return FitResult(rebuild_model(model, theta, mode), sse, converged, iters)
+
+
+def ihm_features(stage: IhmFeatures, X: np.ndarray):
+    """Apply the stage to rows X: feature rows plus the unconverged count
+    and the mean SSE."""
+    rows = []
+    unconverged = 0
+    sse_total = 0.0
+    for x in X:
+        result = fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
+                                position_bound=stage.position_bound,
+                                max_iterations=stage.max_iterations)
+        rows.append(extract_parameters(result.model, stage.mode))
+        unconverged += 0 if result.converged else 1
+        sse_total += result.sse
+    return np.array(rows), unconverged, sse_total / len(X)
 
 
 def seed_peaks(grid: np.ndarray, intensity: np.ndarray, n_peaks: int,

@@ -39,19 +39,18 @@ class MlpSpec:
             raise ValueError("l2 must be nonnegative")
 
 
+@dataclass(eq=False)
 class MlpModel:
     """Weights plus standardization constants; predict() works in the
     original units."""
 
-    def __init__(self, spec: MlpSpec, weights: List[np.ndarray],
-                 biases: List[np.ndarray], x_mean, x_sd, y_mean, y_sd):
-        self.spec = spec
-        self.weights = weights
-        self.biases = biases
-        self.x_mean = x_mean
-        self.x_sd = x_sd
-        self.y_mean = y_mean
-        self.y_sd = y_sd
+    spec: MlpSpec
+    weights: List[np.ndarray]
+    biases: List[np.ndarray]
+    x_mean: np.ndarray
+    x_sd: np.ndarray
+    y_mean: np.ndarray
+    y_sd: np.ndarray
 
 
 def _act(name):

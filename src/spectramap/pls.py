@@ -10,6 +10,7 @@ are mutually orthogonal.  Prediction uses B = W (P'W)^-1 Q'.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,17 +22,16 @@ NIPALS_TOL = 1e-12
 NIPALS_MAX_ITER = 500
 
 
+@dataclass(eq=False)
 class PlsModel:
-    def __init__(self, n_components, x_mean, y_mean, weights, x_loadings,
-                 y_loadings, x_scores, target_is_1d):
-        self.n_components = n_components
-        self.x_mean = x_mean
-        self.y_mean = y_mean
-        self.weights = weights          # (p, A)
-        self.x_loadings = x_loadings    # (p, A)
-        self.y_loadings = y_loadings    # (q, A)
-        self.x_scores = x_scores        # (n, A)
-        self.target_is_1d = target_is_1d
+    n_components: int
+    x_mean: np.ndarray
+    y_mean: np.ndarray
+    weights: np.ndarray       # (p, A)
+    x_loadings: np.ndarray    # (p, A)
+    y_loadings: np.ndarray    # (q, A)
+    x_scores: np.ndarray      # (n, A)
+    target_is_1d: bool
 
     @property
     def coefficients(self) -> np.ndarray:

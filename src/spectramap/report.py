@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import _fmt
+from .dataset import format_float
 from .metrics import Metrics, compute_metrics, metrics_to_dict
 
 LOSS_COLUMNS = ("epoch", "recon", "pred", "orth", "total")
@@ -69,13 +69,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _jsonable(obj):
+def jsonable(obj):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
@@ -93,7 +93,7 @@ def report_to_dict(report: RunReport) -> dict:
             "test": metrics_to_dict(report.test_metrics, test_ids),
         },
         "split": {"train_ids": list(train_ids), "test_ids": list(test_ids)},
-        "diagnostics": _jsonable(report.diagnostics),
+        "diagnostics": jsonable(report.diagnostics),
         "parity": [
             {"sample_id": r.sample_id, "actual_nm": r.actual_nm,
              "predicted_nm": r.predicted_nm, "split": r.split}
@@ -101,7 +101,7 @@ def report_to_dict(report: RunReport) -> dict:
         ],
     }
     if report.loss_history is not None:
-        out["loss_history"] = [_jsonable(dict(row)) for row in report.loss_history]
+        out["loss_history"] = [jsonable(dict(row)) for row in report.loss_history]
     return out
 
 
@@ -154,7 +154,7 @@ def emit_report(report: RunReport, out_dir) -> Dict[str, str]:
                 json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     metrics_rows = [
-        [split, _fmt(m.r2), _fmt(m.rmse), _fmt(m.mape)]
+        [split, format_float(m.r2), format_float(m.rmse), format_float(m.mape)]
         for split, m in (("train", report.train_metrics),
                          ("test", report.test_metrics))
     ]
@@ -162,7 +162,8 @@ def emit_report(report: RunReport, out_dir) -> Dict[str, str]:
     _write_text(paths["metrics.csv"],
                 _csv_text(["split", "r2", "rmse_nm", "mape_pct"], metrics_rows))
 
-    parity_rows = [[r.sample_id, _fmt(r.actual_nm), _fmt(r.predicted_nm), r.split]
+    parity_rows = [[r.sample_id, format_float(r.actual_nm),
+                    format_float(r.predicted_nm), r.split]
                    for r in report.parity]
     paths["parity.csv"] = os.path.join(out_dir, "parity.csv")
     _write_text(paths["parity.csv"],
@@ -170,7 +171,7 @@ def emit_report(report: RunReport, out_dir) -> Dict[str, str]:
                           parity_rows))
 
     if report.loss_history is not None:
-        rows = [[_fmt(row[k]) if k != "epoch" else str(int(row[k]))
+        rows = [[format_float(row[k]) if k != "epoch" else str(int(row[k]))
                  for k in LOSS_COLUMNS] for row in report.loss_history]
         paths["loss_history.csv"] = os.path.join(out_dir, "loss_history.csv")
         _write_text(paths["loss_history.csv"], _csv_text(LOSS_COLUMNS, rows))

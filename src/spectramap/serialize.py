@@ -1,8 +1,18 @@
-"""Model persistence: one directory per model holding `model.json`
-(format version, type tag, scalar fields) plus one `.npy` file per
-array block.  JSON is written with sorted keys and arrays with numpy's
-deterministic format, so saving the same model twice produces identical
-bytes, which the pipeline relies on for reproducibility checks.
+"""Model persistence: one directory per model holding `model.json` plus
+one `.npy` file per array.
+
+`model.json` holds the format version and the model as a tree of JSON
+nodes, built by walking its dataclass fields:
+
+    dataclass   {"__type__": class name, field: node, ...}
+    array       {"__array__": dotted field path}, data in `<path>.npy`
+    tuple       {"__tuple__": [node, ...]}
+    list, dict  plain JSON, each element a node
+    scalar      plain JSON
+
+Loading builds only the classes named in `_TYPES`.  JSON is written with
+sorted keys and arrays with numpy's deterministic format, so saving the
+same model twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -16,205 +26,85 @@ import numpy as np
 
 from .altdmaps import AltDmapModel
 from .conformal import SubNet, YShapedModel, YShapedSpec
-from .dmaps import DmapModel, EigenSelection, GhModel
+from .dmaps import DmapModel, EigenSelection, Embed, GhModel
 from .gbt import GbtModel, GbtSpec
+from .ihm import ComponentModel, HardModel, IhmFeatures, Peak
 from .mlp import MlpModel, MlpSpec
 from .pls import PlsModel
 from .pretreat import ColumnScaler
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-Parts = Tuple[dict, Dict[str, np.ndarray]]
-
-
-def _dmap_parts(model: DmapModel) -> Parts:
-    meta = {"epsilon": model.epsilon,
-            "density_normalize": model.density_normalize,
-            "has_p_row_sums": model.p_row_sums is not None}
-    arrays = {"points": model.points, "eigenvalues": model.eigenvalues,
-              "eigenvectors": model.eigenvectors,
-              "d_row_sums": model.d_row_sums}
-    if model.p_row_sums is not None:
-        arrays["p_row_sums"] = model.p_row_sums
-    return meta, arrays
+_TYPES = {cls.__name__: cls for cls in (
+    AltDmapModel, ColumnScaler, ComponentModel, DmapModel, EigenSelection,
+    Embed, GbtModel, GbtSpec, GhModel, HardModel, IhmFeatures, MlpModel,
+    MlpSpec, Peak, PlsModel, SubNet, YShapedModel, YShapedSpec)}
 
 
-def _dmap_build(meta, arrays) -> DmapModel:
-    return DmapModel(points=arrays["points"], epsilon=meta["epsilon"],
-                     density_normalize=meta["density_normalize"],
-                     eigenvalues=arrays["eigenvalues"],
-                     eigenvectors=arrays["eigenvectors"],
-                     p_row_sums=arrays.get("p_row_sums"),
-                     d_row_sums=arrays["d_row_sums"])
+def _array_file(path, name) -> str:
+    """The `.npy` file of array `name`, which must be a plain file name."""
+    if (not isinstance(name, str) or not name or "/" in name
+            or "\\" in name or name.startswith(".")):
+        raise ValueError(f"array name {name!r} is not a plain file name")
+    return os.path.join(path, f"{name}.npy")
 
 
-def _gh_parts(model: GhModel) -> Parts:
-    dmeta, darrays = _dmap_parts(model.dmap)
-    meta = {"delta": model.delta, "train_residual": model.train_residual,
-            "target_is_1d": model.target_is_1d, "dmap": dmeta}
-    arrays = {"coefficients": model.coefficients}
-    arrays.update({f"dmap_{k}": v for k, v in darrays.items()})
-    return meta, arrays
+def _encode(obj, at: Tuple[str, ...], arrays: Dict[str, np.ndarray]):
+    """The JSON node of obj; its arrays go into `arrays` under their
+    dotted path `at`."""
+    if isinstance(obj, np.ndarray):
+        name = ".".join(at)
+        arrays[name] = obj
+        return {"__array__": name}
+    if dataclasses.is_dataclass(obj):
+        tag = type(obj).__name__
+        if _TYPES.get(tag) is not type(obj):
+            raise TypeError(f"no serializer for {tag}")
+        node = {f.name: _encode(getattr(obj, f.name), at + (f.name,), arrays)
+                for f in dataclasses.fields(obj)}
+        node["__type__"] = tag
+        return node
+    if isinstance(obj, (tuple, list)):
+        items = [_encode(v, at + (str(i),), arrays) for i, v in enumerate(obj)]
+        return {"__tuple__": items} if isinstance(obj, tuple) else items
+    if isinstance(obj, dict):
+        return {k: _encode(v, at + (k,), arrays) for k, v in obj.items()}
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"no serializer for {type(obj).__name__}")
 
 
-def _gh_build(meta, arrays) -> GhModel:
-    darrays = {k[len("dmap_"):]: v for k, v in arrays.items()
-               if k.startswith("dmap_")}
-    return GhModel(dmap=_dmap_build(meta["dmap"], darrays),
-                   coefficients=arrays["coefficients"], delta=meta["delta"],
-                   train_residual=meta["train_residual"],
-                   target_is_1d=meta["target_is_1d"])
-
-
-def _alt_parts(model: AltDmapModel) -> Parts:
-    meta = {"epsilon1": model.epsilon1, "epsilon2": model.epsilon2,
-            "density_normalize": model.density_normalize,
-            "n_samples": model.n_samples}
-    arrays = {"eigenvalues": model.eigenvalues,
-              "eigenvectors": model.eigenvectors}
-    return meta, arrays
-
-
-def _alt_build(meta, arrays) -> AltDmapModel:
-    return AltDmapModel(epsilon1=meta["epsilon1"], epsilon2=meta["epsilon2"],
-                        density_normalize=meta["density_normalize"],
-                        eigenvalues=arrays["eigenvalues"],
-                        eigenvectors=arrays["eigenvectors"],
-                        n_samples=meta["n_samples"])
-
-
-def _selection_parts(model: EigenSelection) -> Parts:
-    return ({"indices": list(model.indices)},
-            {"residuals": model.residuals})
-
-
-def _selection_build(meta, arrays) -> EigenSelection:
-    return EigenSelection(indices=tuple(meta["indices"]),
-                          residuals=arrays["residuals"])
-
-
-def _stack_parts(prefix, weights, biases, arrays):
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        arrays[f"{prefix}_w{i}"] = W
-        arrays[f"{prefix}_b{i}"] = b
-
-
-def _stack_build(prefix, count, arrays):
-    weights = [arrays[f"{prefix}_w{i}"] for i in range(count)]
-    biases = [arrays[f"{prefix}_b{i}"] for i in range(count)]
-    return weights, biases
-
-
-def _mlp_parts(model: MlpModel) -> Parts:
-    meta = {"spec": dataclasses.asdict(model.spec),
-            "n_layers": len(model.weights)}
-    arrays = {"x_mean": model.x_mean, "x_sd": model.x_sd,
-              "y_mean": model.y_mean, "y_sd": model.y_sd}
-    _stack_parts("layer", model.weights, model.biases, arrays)
-    return meta, arrays
-
-
-def _mlp_build(meta, arrays) -> MlpModel:
-    spec_dict = dict(meta["spec"])
-    spec_dict["hidden"] = tuple(spec_dict["hidden"])
-    weights, biases = _stack_build("layer", meta["n_layers"], arrays)
-    return MlpModel(MlpSpec(**spec_dict), weights, biases,
-                    arrays["x_mean"], arrays["x_sd"],
-                    arrays["y_mean"], arrays["y_sd"])
-
-
-def _gbt_parts(model: GbtModel) -> Parts:
-    meta = {"spec": dataclasses.asdict(model.spec),
-            "base_score": model.base_score, "trees": model.trees,
-            "train_mse": model.train_mse}
-    return meta, {}
-
-
-def _gbt_build(meta, arrays) -> GbtModel:
-    return GbtModel(GbtSpec(**meta["spec"]), meta["base_score"],
-                    meta["trees"], meta["train_mse"])
-
-
-def _pls_parts(model: PlsModel) -> Parts:
-    meta = {"n_components": model.n_components,
-            "target_is_1d": model.target_is_1d}
-    arrays = {"x_mean": model.x_mean, "y_mean": model.y_mean,
-              "weights": model.weights, "x_loadings": model.x_loadings,
-              "y_loadings": model.y_loadings, "x_scores": model.x_scores}
-    return meta, arrays
-
-
-def _pls_build(meta, arrays) -> PlsModel:
-    return PlsModel(meta["n_components"], arrays["x_mean"],
-                    arrays["y_mean"], arrays["weights"],
-                    arrays["x_loadings"], arrays["y_loadings"],
-                    arrays["x_scores"], meta["target_is_1d"])
-
-
-def _yshaped_parts(model: YShapedModel) -> Parts:
-    meta = {"spec": dataclasses.asdict(model.spec),
-            "n_layers": {"encoder": len(model.encoder.weights),
-                         "decoder": len(model.decoder.weights),
-                         "head": len(model.head.weights)}}
-    arrays = {"x_mean": model.x_mean, "x_sd": model.x_sd,
-              "y_mean": model.y_mean, "y_sd": model.y_sd}
-    _stack_parts("encoder", model.encoder.weights, model.encoder.biases, arrays)
-    _stack_parts("decoder", model.decoder.weights, model.decoder.biases, arrays)
-    _stack_parts("head", model.head.weights, model.head.biases, arrays)
-    return meta, arrays
-
-
-def _yshaped_build(meta, arrays) -> YShapedModel:
-    spec_dict = dict(meta["spec"])
-    for key in ("encoder_hidden", "decoder_hidden", "head_hidden"):
-        spec_dict[key] = tuple(spec_dict[key])
-    spec = YShapedSpec(**spec_dict)
-    nets = {}
-    for name, activation in (("encoder", spec.encoder_activation),
-                             ("decoder", spec.decoder_activation),
-                             ("head", spec.head_activation)):
-        weights, biases = _stack_build(name, meta["n_layers"][name], arrays)
-        nets[name] = SubNet(weights, biases, activation)
-    return YShapedModel(spec, nets["encoder"], nets["decoder"], nets["head"],
-                        arrays["x_mean"], arrays["x_sd"],
-                        arrays["y_mean"], arrays["y_sd"])
-
-
-def _scaler_parts(model: ColumnScaler) -> Parts:
-    return {}, {"keep": model.keep, "mean": model.mean, "sd": model.sd}
-
-
-def _scaler_build(meta, arrays) -> ColumnScaler:
-    return ColumnScaler(keep=arrays["keep"], mean=arrays["mean"],
-                        sd=arrays["sd"])
-
-
-_REGISTRY = {
-    "dmap": (DmapModel, _dmap_parts, _dmap_build),
-    "geometric_harmonics": (GhModel, _gh_parts, _gh_build),
-    "altdmap": (AltDmapModel, _alt_parts, _alt_build),
-    "eigen_selection": (EigenSelection, _selection_parts, _selection_build),
-    "mlp": (MlpModel, _mlp_parts, _mlp_build),
-    "gbt": (GbtModel, _gbt_parts, _gbt_build),
-    "pls": (PlsModel, _pls_parts, _pls_build),
-    "yshaped": (YShapedModel, _yshaped_parts, _yshaped_build),
-    "column_scaler": (ColumnScaler, _scaler_parts, _scaler_build),
-}
+def _decode(node, path):
+    """Rebuild the object that `_encode` turned into node."""
+    if isinstance(node, list):
+        return [_decode(v, path) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if "__array__" in node:
+        return np.load(_array_file(path, node["__array__"]),
+                       allow_pickle=False)
+    if "__tuple__" in node:
+        return tuple(_decode(v, path) for v in node["__tuple__"])
+    if "__type__" not in node:
+        return {k: _decode(v, path) for k, v in node.items()}
+    tag = node["__type__"]
+    if tag not in _TYPES:
+        raise ValueError(f"unknown model type {tag!r}")
+    fields = {k: _decode(v, path) for k, v in node.items() if k != "__type__"}
+    try:
+        return _TYPES[tag](**fields)
+    except TypeError as e:
+        raise ValueError(f"bad fields for {tag}: {e}") from e
 
 
 def save_model(path, model) -> None:
     """Write the model into directory `path` (created if needed)."""
-    for tag, (cls, to_parts, _) in _REGISTRY.items():
-        if type(model) is cls:
-            break
-    else:
-        raise TypeError(f"no serializer for {type(model).__name__}")
-    meta, arrays = to_parts(model)
+    arrays: Dict[str, np.ndarray] = {}
+    doc = {"format_version": FORMAT_VERSION,
+           "model": _encode(model, (), arrays)}
     os.makedirs(path, exist_ok=True)
     for name, arr in arrays.items():
-        np.save(os.path.join(path, f"{name}.npy"), np.asarray(arr))
-    doc = {"format_version": FORMAT_VERSION, "model_type": tag,
-           "meta": meta, "arrays": sorted(arrays)}
+        np.save(_array_file(path, name), arr)
     with open(os.path.join(path, "model.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -224,13 +114,8 @@ def load_model(path):
     """Load any model previously written by save_model."""
     with open(os.path.join(path, "model.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    tag = doc.get("model_type")
-    if tag not in _REGISTRY:
-        raise ValueError(f"unknown model type {tag!r}")
-    arrays = {name: np.load(os.path.join(path, f"{name}.npy"))
-              for name in doc["arrays"]}
-    _, _, build = _REGISTRY[tag]
-    return build(doc["meta"], arrays)
+        raise ValueError(f"unsupported model format version {version!r}; "
+                         f"retrain to write format {FORMAT_VERSION}")
+    return _decode(doc["model"], path)

@@ -31,30 +31,28 @@ keys anywhere are rejected):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .altdmaps import AltDmapModel, alt_coordinates, fit_altdmaps
 from .conformal import (YShapedModel, YShapedSpec, decode, encode,
                         orthogonality_score, predict_size, yae_fit)
+from .config import check_keys, pretreatment_spec, require, spec_from
 from .dataset import SpectraSet, load_spectra, train_test_split
-from .dmaps import (DmapModel, EigenSelection, GhModel, KernelParams,
-                    fit_dmaps, gh_fit, gh_predict, local_linear_residual,
-                    nystrom_extend)
+from .dmaps import (EigenSelection, Embed, GhModel, KernelParams, fit_dmaps,
+                    gh_fit, gh_predict, local_linear_residual, nystrom_extend)
 from .errors import ConfigError, NumericError
 from .gbt import GbtModel, GbtSpec, gbt_fit, gbt_predict
-from .ihm import (HardModel, extract_parameters, fit_hard_model,
-                  load_hard_model, save_hard_model)
+from .ihm import IhmFeatures, ihm_features, load_hard_model
 from .metrics import compute_metrics
 from .mlp import MlpModel, MlpSpec, mlp_fit, mlp_predict
 from .pls import PlsModel, pls_choose_components, pls_fit, pls_predict
-from .pretreat import (ColumnScaler, PretreatmentSpec, apply_column_scaler,
-                       apply_pretreatment, fit_column_scaler)
+from .pretreat import (ColumnScaler, apply_column_scaler, apply_pretreatment,
+                       fit_column_scaler)
 from .report import ParityRow, RunReport, config_hash
 from .serialize import load_model, save_model
 from .synth import SynthSpec, synth_generate
@@ -63,45 +61,6 @@ _TOP_KEYS = frozenset({"workflow", "seed", "data", "pretreatment", "split",
                        "dmaps", "regressor", "altdmaps", "yshaped", "pls",
                        "ihm", "out_dir"})
 _MANIFEST_FILE = "manifest.json"
-_HARD_MODEL_FILE = "hard_model.json"
-_IHM_STAGE = "hard_model"
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _check_keys(cfg: dict, allowed, where: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    _require(not unknown, f"unknown keys in {where}: {unknown}")
-
-
-def _spec_from(cls, cfg: dict, where: str, seed: Optional[int] = None):
-    """Build a frozen spec dataclass from a JSON-style dict."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(cfg, names, where)
-    kw = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
-    if seed is not None and "seed" in names:
-        kw.setdefault("seed", seed)
-    try:
-        return cls(**kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def _pretreatment_spec(cfg: dict) -> PretreatmentSpec:
-    _check_keys(cfg, ("region", "baseline", "normalization", "exclusions"),
-                "pretreatment")
-    kw = dict(cfg)
-    if isinstance(kw.get("region"), list):
-        kw["region"] = tuple(kw["region"])
-    if "exclusions" in kw:
-        kw["exclusions"] = tuple(tuple(band) for band in kw["exclusions"])
-    try:
-        return PretreatmentSpec(**kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"pretreatment: {e}") from e
 
 
 def _top_seed(config: dict) -> int:
@@ -120,32 +79,32 @@ class RunContext:
 
 
 def _prepare(config: dict) -> RunContext:
-    _require(isinstance(config, dict), "config must be a mapping")
-    _check_keys(config, _TOP_KEYS, "config")
+    require(isinstance(config, dict), "config must be a mapping")
+    check_keys(config, _TOP_KEYS, "config")
     data = config.get("data")
-    _require(isinstance(data, dict), "config needs a 'data' section")
+    require(isinstance(data, dict), "config needs a 'data' section")
     if "synth" in data:
-        _check_keys(data, ("synth",), "data")
-        spec = _spec_from(SynthSpec, data["synth"], "data.synth",
-                          seed=_top_seed(config))
+        check_keys(data, ("synth",), "data")
+        spec = spec_from(SynthSpec, data["synth"], "data.synth",
+                         seed=_top_seed(config))
         ds, _ = synth_generate(spec)
     else:
-        _check_keys(data, ("spectra", "sizes"), "data")
-        _require(isinstance(data.get("spectra"), str),
-                 "data.spectra must be a file path")
+        check_keys(data, ("spectra", "sizes"), "data")
+        require(isinstance(data.get("spectra"), str),
+                "data.spectra must be a file path")
         ds = load_spectra(data["spectra"], data.get("sizes"))
-    _require(ds.sizes is not None, "workflow needs size targets")
+    require(ds.sizes is not None, "workflow needs size targets")
 
     split = config.get("split", {})
-    _check_keys(split, ("test_fraction", "seed"), "split")
+    check_keys(split, ("test_fraction", "seed"), "split")
     frac = float(split.get("test_fraction", 0.25))
-    _require(0.0 < frac < 1.0, "split.test_fraction must lie in (0, 1)")
+    require(0.0 < frac < 1.0, "split.test_fraction must lie in (0, 1)")
     n_test = max(1, int(round(frac * ds.n_samples)))
-    _require(ds.n_samples - n_test >= 4, "split leaves too few training rows")
+    require(ds.n_samples - n_test >= 4, "split leaves too few training rows")
     seed = int(split.get("seed", _top_seed(config)))
     train_raw, test_raw, train_idx, test_idx = train_test_split(ds, n_test, seed)
 
-    pre = _pretreatment_spec(config.get("pretreatment", {}))
+    pre = pretreatment_spec(config.get("pretreatment", {}))
     return RunContext(raw=ds,
                       train=apply_pretreatment(train_raw, pre),
                       test=apply_pretreatment(test_raw, pre),
@@ -176,51 +135,12 @@ def _cluster_diag(ctx: RunContext) -> Dict[str, int]:
     return {sid: int(l) for sid, l in zip(ctx.raw.sample_ids, labels)}
 
 
-@dataclass(frozen=True)
-class Embed:
-    """Stage: Nystrom coordinates of spectra in a fitted embedding."""
-
-    dmap: DmapModel
-    indices: Tuple[int, ...]
-
-    @property
-    def phi_train(self) -> np.ndarray:
-        """The exact training eigenvectors the heads are fit on."""
-        return self.dmap.eigenvectors[:, list(self.indices)]
-
-
-@dataclass(frozen=True)
-class IhmFeatures:
-    """Stage: peak parameters fitted to each spectrum on the training grid."""
-
-    base: HardModel
-    wavenumbers: np.ndarray
-    mode: str
-    position_bound: float
-    max_iterations: int
-
-
-def _ihm_features(stage: IhmFeatures, X: np.ndarray):
-    """Feature rows plus the unconverged count and the mean SSE."""
-    rows = []
-    unconverged = 0
-    sse_total = 0.0
-    for x in X:
-        result = fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
-                                position_bound=stage.position_bound,
-                                max_iterations=stage.max_iterations)
-        rows.append(extract_parameters(result.model, stage.mode))
-        unconverged += 0 if result.converged else 1
-        sse_total += result.sse
-    return np.array(rows), unconverged, sse_total / len(X)
-
-
 def _apply_stage(stage, X: np.ndarray) -> np.ndarray:
     """Map one fitted stage's input rows to its output rows."""
     if isinstance(stage, Embed):
         return nystrom_extend(stage.dmap, X, stage.indices)
     if isinstance(stage, IhmFeatures):
-        return _ihm_features(stage, X)[0]
+        return ihm_features(stage, X)[0]
     if isinstance(stage, MlpModel):
         return mlp_predict(stage, X)
     if isinstance(stage, GbtModel):
@@ -260,15 +180,15 @@ class _Chain:
 
 def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, EigenSelection]:
     cfg = config.get("dmaps", {})
-    _check_keys(cfg, ("epsilon", "density_normalize", "n_eig", "coords",
-                      "llr_threshold"), "dmaps")
+    check_keys(cfg, ("epsilon", "density_normalize", "n_eig", "coords",
+                     "llr_threshold"), "dmaps")
     n_train = ctx.train.n_samples
     n_eig = int(cfg.get("n_eig", min(10, n_train - 1)))
     eps = cfg.get("epsilon")
-    params = _spec_from(KernelParams,
-                        {"epsilon": eps,
-                         "density_normalize": cfg.get("density_normalize", True)},
-                        "dmaps")
+    params = spec_from(KernelParams,
+                       {"epsilon": eps,
+                        "density_normalize": cfg.get("density_normalize", True)},
+                       "dmaps")
     model = fit_dmaps(ctx.train.intensities, params, n_eig=n_eig)
 
     coords = cfg.get("coords", "llr")
@@ -277,17 +197,17 @@ def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, EigenSelection]:
         selection = EigenSelection(indices=indices,
                                    residuals=np.ones(model.n_eig - 1))
     elif coords == "llr":
-        _require(model.n_eig >= 3, "llr selection needs n_eig >= 3")
+        require(model.n_eig >= 3, "llr selection needs n_eig >= 3")
         llr = local_linear_residual(model.eigenvectors[:, 1:],
                                     threshold=float(cfg.get("llr_threshold", 0.5)))
         indices = tuple(i + 1 for i in llr.indices)
         selection = EigenSelection(indices=indices, residuals=llr.residuals)
     elif isinstance(coords, list):
-        _require(len(coords) > 0, "dmaps.coords list is empty")
+        require(len(coords) > 0, "dmaps.coords list is empty")
         indices = tuple(int(i) for i in coords)
-        _require(len(set(indices)) == len(indices), "duplicate dmaps.coords")
-        _require(all(1 <= i < model.n_eig for i in indices),
-                 "dmaps.coords indices must lie in [1, n_eig)")
+        require(len(set(indices)) == len(indices), "duplicate dmaps.coords")
+        require(all(1 <= i < model.n_eig for i in indices),
+                "dmaps.coords indices must lie in [1, n_eig)")
         selection = EigenSelection(indices=indices,
                                    residuals=np.ones(len(indices)))
     else:
@@ -310,9 +230,9 @@ def _embedded_chain(ctx: RunContext, embed: Embed, **offline):
 def _head_fit(kind: str, cfg: dict, X: np.ndarray, y: np.ndarray, seed: int):
     """Fit a size (or coordinate) regressor; y may be 1-D or (n, k)."""
     if kind == "nn":
-        return mlp_fit(X, y, _spec_from(MlpSpec, cfg, "regressor", seed=seed))
+        return mlp_fit(X, y, spec_from(MlpSpec, cfg, "regressor", seed=seed))
     if kind == "gbt":
-        spec = _spec_from(GbtSpec, cfg, "regressor", seed=seed)
+        spec = spec_from(GbtSpec, cfg, "regressor", seed=seed)
         Y = np.asarray(y, dtype=float)
         if Y.ndim == 2:
             return [gbt_fit(X, Y[:, j], spec) for j in range(Y.shape[1])]
@@ -328,31 +248,13 @@ def _persist(config: dict, ctx: RunContext, parts: Dict[str, object],
     if not out_dir:
         return
     base = os.path.join(os.fspath(out_dir), "models")
-    os.makedirs(base, exist_ok=True)
+    for name, obj in parts.items():
+        save_model(os.path.join(base, name), obj)
     manifest = {"workflow": config["workflow"],
                 "config_hash": config_hash(config),
                 "pretreatment": config.get("pretreatment", {}),
                 "grid": ctx.train.grid.values.tolist(),
                 "stages": list(stages)}
-    counts = {}
-    for name, obj in parts.items():
-        if isinstance(obj, IhmFeatures):
-            save_hard_model(os.path.join(base, _HARD_MODEL_FILE), obj.base)
-            manifest["ihm"] = {"mode": obj.mode,
-                               "position_bound": obj.position_bound,
-                               "max_iterations": obj.max_iterations}
-            continue
-        if isinstance(obj, Embed):
-            manifest["dmap_indices"] = list(obj.indices)
-            obj = obj.dmap
-        if isinstance(obj, list):
-            counts[name] = len(obj)
-            for i, m in enumerate(obj):
-                save_model(os.path.join(base, name, str(i)), m)
-        else:
-            counts[name] = 1
-            save_model(os.path.join(base, name), obj)
-    manifest["parts"] = counts
     with open(os.path.join(base, _MANIFEST_FILE), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -409,11 +311,11 @@ class AltOfflineModels:
 def _alt_offline(config: dict, ctx: RunContext) -> AltOfflineModels:
     embed, selection = _embed(config, ctx)
     cfg = config.get("altdmaps", {})
-    _check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
-                      "density_normalize", "llr_threshold", "gh_delta",
-                      "alt_regressor", "size_regressor",
-                      "alt_regressor_config", "size_regressor_config"),
-                "altdmaps")
+    check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
+                     "density_normalize", "llr_threshold", "gh_delta",
+                     "alt_regressor", "size_regressor",
+                     "alt_regressor_config", "size_regressor_config"),
+               "altdmaps")
     n_train = ctx.train.n_samples
     n_eig = int(cfg.get("n_eig", min(10, n_train - 1)))
     dn = bool(cfg.get("density_normalize", True))
@@ -421,7 +323,7 @@ def _alt_offline(config: dict, ctx: RunContext) -> AltOfflineModels:
     p2 = KernelParams(epsilon=cfg.get("epsilon2"), density_normalize=dn)
     sizes_col = np.asarray(ctx.train.sizes, dtype=float)[:, None]
     alt = fit_altdmaps(embed.phi_train, sizes_col, p1, p2, n_eig=n_eig)
-    _require(alt.eigenvalues.size >= 3, "altdmaps.n_eig must be >= 3")
+    require(alt.eigenvalues.size >= 3, "altdmaps.n_eig must be >= 3")
     llr = local_linear_residual(alt.eigenvectors[:, 1:],
                                 threshold=float(cfg.get("llr_threshold", 0.5)))
     alt_selection = EigenSelection(indices=tuple(i + 1 for i in llr.indices),
@@ -451,8 +353,8 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
 
     n_alt_max = models.alt.eigenvalues.size - 1
     n_alt = int(cfg.get("n_alt_coords", min(6, n_alt_max)))
-    _require(1 <= n_alt <= n_alt_max,
-             f"altdmaps.n_alt_coords must lie in [1, {n_alt_max}]")
+    require(1 <= n_alt <= n_alt_max,
+            f"altdmaps.n_alt_coords must lie in [1, {n_alt_max}]")
     alt_idx = tuple(range(1, n_alt + 1))
     psi_tr = alt_coordinates(models.alt, alt_idx)
 
@@ -470,8 +372,8 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
     psi_hat_tr = chain.train
 
     size_kind = cfg.get("size_regressor", "nn")
-    _require(size_kind in ("nn", "gbt"),
-             f"altdmaps.size_regressor must be 'nn' or 'gbt', got {size_kind!r}")
+    require(size_kind in ("nn", "gbt"),
+            f"altdmaps.size_regressor must be 'nn' or 'gbt', got {size_kind!r}")
     f_size = _head_fit(size_kind, cfg.get("size_regressor_config", {}),
                        psi_tr, ctx.train.sizes, seed)
     chain.add("size_regressor", f_size)
@@ -496,8 +398,8 @@ def _run_yshaped(config: dict, ctx: RunContext) -> RunReport:
     embed, selection = _embed(config, ctx)
     chain, diagnostics = _embedded_chain(ctx, embed, dmap_selection=selection)
     diagnostics["llr_residuals"] = selection.residuals
-    spec = _spec_from(YShapedSpec, config.get("yshaped", {}), "yshaped",
-                      seed=_top_seed(config))
+    spec = spec_from(YShapedSpec, config.get("yshaped", {}), "yshaped",
+                     seed=_top_seed(config))
     phi = embed.phi_train
     model, history = yae_fit(phi, ctx.train.sizes, spec)
     chain.add("yae", model)
@@ -514,23 +416,23 @@ def _run_pls(config: dict, ctx: RunContext) -> RunReport:
     """Latent-variable linear benchmark, optionally on peak-fit
     parameters instead of raw intensities."""
     cfg = config.get("pls", {})
-    _check_keys(cfg, ("k_max", "folds", "seed", "zscore"), "pls")
+    check_keys(cfg, ("k_max", "folds", "seed", "zscore"), "pls")
     chain = _Chain(ctx)
     diagnostics: dict = {}
     if config["workflow"] == "ihm_pls":
         icfg = config.get("ihm", {})
-        _check_keys(icfg, ("model_json", "mode", "position_bound",
-                           "max_iterations"), "ihm")
-        _require(isinstance(icfg.get("model_json"), str),
-                 "ihm.model_json must be a file path")
+        check_keys(icfg, ("model_json", "mode", "position_bound",
+                          "max_iterations"), "ihm")
+        require(isinstance(icfg.get("model_json"), str),
+                "ihm.model_json must be a file path")
         ihm = IhmFeatures(base=load_hard_model(icfg["model_json"]),
                           wavenumbers=ctx.train.grid.values,
                           mode=icfg.get("mode", "medium"),
                           position_bound=float(icfg.get("position_bound", 5.0)),
                           max_iterations=int(icfg.get("max_iterations", 200)))
-        F_tr, unc_tr, sse_tr = _ihm_features(ihm, ctx.train.intensities)
-        F_te, unc_te, sse_te = _ihm_features(ihm, ctx.test.intensities)
-        chain.add(_IHM_STAGE, ihm, outputs=(F_tr, F_te))
+        F_tr, unc_tr, sse_tr = ihm_features(ihm, ctx.train.intensities)
+        F_te, unc_te, sse_te = ihm_features(ihm, ctx.test.intensities)
+        chain.add("hard_model", ihm, outputs=(F_tr, F_te))
         diagnostics.update({"ihm_unconverged_train": unc_tr,
                             "ihm_unconverged_test": unc_te,
                             "ihm_mean_sse_train": sse_tr,
@@ -547,7 +449,7 @@ def _run_pls(config: dict, ctx: RunContext) -> RunReport:
     n_train = ctx.train.n_samples
     k_cap = min(n_train - 2, Z_tr.shape[1])
     k_max = int(cfg.get("k_max", min(10, k_cap)))
-    _require(1 <= k_max <= k_cap, f"pls.k_max must lie in [1, {k_cap}]")
+    require(1 <= k_max <= k_cap, f"pls.k_max must lie in [1, {k_cap}]")
     folds = int(cfg.get("folds", 5))
     seed = int(cfg.get("seed", _top_seed(config)))
     y_tr = ctx.train.sizes
@@ -566,10 +468,10 @@ WORKFLOW_NAMES = tuple(_RUNNERS)
 
 def run_workflow(config: dict) -> RunReport:
     """Dispatch on config["workflow"]; see WORKFLOW_NAMES."""
-    _require(isinstance(config, dict), "config must be a mapping")
+    require(isinstance(config, dict), "config must be a mapping")
     workflow = config.get("workflow")
-    _require(workflow in WORKFLOW_NAMES,
-             f"workflow must be one of {list(WORKFLOW_NAMES)}, got {workflow!r}")
+    require(workflow in WORKFLOW_NAMES,
+            f"workflow must be one of {list(WORKFLOW_NAMES)}, got {workflow!r}")
     return _RUNNERS[workflow](config, _prepare(config))
 
 
@@ -584,43 +486,29 @@ class Pipeline:
 
 
 def load_pipeline(models_dir) -> Pipeline:
-    models_dir = os.fspath(models_dir)
     with open(os.path.join(models_dir, _MANIFEST_FILE), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    _require("grid" in manifest,
-             f"{models_dir}: manifest records no training wavenumber grid")
-    _require(bool(manifest.get("stages")),
-             f"{models_dir}: manifest names no prediction stages")
-    grid = np.asarray(manifest["grid"], dtype=float)
-    stages = []
-    for name in manifest["stages"]:
-        if name == _IHM_STAGE:
-            base = load_hard_model(os.path.join(models_dir, _HARD_MODEL_FILE))
-            stages.append(IhmFeatures(base, grid, **manifest["ihm"]))
-            continue
-        count = manifest["parts"][name]
-        if count == 1:
-            model = load_model(os.path.join(models_dir, name))
-        else:
-            model = [load_model(os.path.join(models_dir, name, str(i)))
-                     for i in range(count)]
-        if isinstance(model, DmapModel):
-            model = Embed(dmap=model, indices=tuple(manifest["dmap_indices"]))
-        stages.append(model)
-    return Pipeline(manifest=manifest, stages=tuple(stages), grid=grid)
+    require("grid" in manifest,
+            f"{models_dir}: manifest records no training wavenumber grid")
+    require(bool(manifest.get("stages")),
+            f"{models_dir}: manifest names no prediction stages")
+    stages = tuple(load_model(os.path.join(models_dir, name))
+                   for name in manifest["stages"])
+    return Pipeline(manifest=manifest, stages=stages,
+                    grid=np.asarray(manifest["grid"], dtype=float))
 
 
 def pipeline_predict(pipe: Pipeline, spectra: SpectraSet) -> np.ndarray:
     """Predict sizes for new spectra with a persisted workflow.  The
     pretreated spectra must lie on exactly the training grid."""
-    pre = _pretreatment_spec(pipe.manifest.get("pretreatment", {}))
+    pre = pretreatment_spec(pipe.manifest.get("pretreatment", {}))
     ds = apply_pretreatment(spectra, pre)
     grid = ds.grid.values
-    _require(np.array_equal(grid, pipe.grid),
-             f"spectra are not on the training wavenumber grid: after "
-             f"pretreatment {grid.size} points over {grid[0]:g}-{grid[-1]:g} "
-             f"cm^-1, expected {pipe.grid.size} over "
-             f"{pipe.grid[0]:g}-{pipe.grid[-1]:g}")
+    require(np.array_equal(grid, pipe.grid),
+            f"spectra are not on the training wavenumber grid: after "
+            f"pretreatment {grid.size} points over {grid[0]:g}-{grid[-1]:g} "
+            f"cm^-1, expected {pipe.grid.size} over "
+            f"{pipe.grid[0]:g}-{pipe.grid[-1]:g}")
     X = ds.intensities
     for stage in pipe.stages:
         X = _apply_stage(stage, X)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spectramap.cli import entry
+from spectramap.dataset import load_spectra
 from spectramap.dmaps import nystrom_extend
 from spectramap.serialize import load_model
 
@@ -163,6 +164,26 @@ class TestPreprocessAndModels:
         assert np.allclose(got, expected, atol=1e-12, rtol=0)
         # training points come back to their own embedding
         assert np.allclose(got, model.eigenvectors[:, 1:3], atol=1e-8)
+
+    def test_dmap_extend_needs_a_diffusion_map(self, data_dir, trained_run,
+                                               tmp_path):
+        # a workflow's embedding stage extends with all of its eigenpairs;
+        # any other model is a config error
+        _, out = trained_run
+        spectra = data_dir / "data" / "spectra.csv"
+        coords = tmp_path / "coords.csv"
+        for stage, code in (("dmap", 0), ("size_regressor", 2)):
+            cfg = write_json(tmp_path / f"{stage}.json", {
+                "model": str(out / "models" / stage),
+                "spectra": str(spectra)})
+            assert entry(["dmap", "extend", "--config", cfg,
+                          "--out", str(coords)]) == code
+            if code == 0:
+                dmap = load_model(out / "models" / stage).dmap
+                got = np.loadtxt(coords, delimiter=",", skiprows=1,
+                                 usecols=range(1, dmap.n_eig + 1))
+                X = load_spectra(spectra).intensities
+                assert np.array_equal(got, nystrom_extend(dmap, X))
 
     def test_alt_fit(self, data_dir, tmp_path):
         cfg = write_json(tmp_path / "alt.json", {

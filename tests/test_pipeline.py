@@ -22,6 +22,10 @@ CONFIGS = {
     "direct_dmaps_gbt": {"dmaps": {"n_eig": 8}},
     "altdmaps": {"dmaps": {"n_eig": 8},
                  "altdmaps": {"n_eig": 6, "n_alt_coords": 3}},
+    # one coordinate regressed by a one-element list of GBT models
+    "altdmaps_gbt_one_coord": {
+        "workflow": "altdmaps", "dmaps": {"n_eig": 8},
+        "altdmaps": {"n_eig": 6, "n_alt_coords": 1, "alt_regressor": "gbt"}},
     "yshaped": {"dmaps": {"n_eig": 8, "coords": [1, 2, 3]},
                 "yshaped": {"n_latent": 3, "epochs": 60, "w_orth": 2.0,
                             "learning_rate": 0.01}},
@@ -35,10 +39,10 @@ def write_json(path, doc):
     return str(path)
 
 
-def train(workflow, tmp_path):
-    config = dict(CONFIGS[workflow], workflow=workflow,
+def train(case, tmp_path):
+    config = dict({"workflow": case}, **CONFIGS[case],
                   data={"synth": SYNTH}, out_dir=str(tmp_path / "run"))
-    if workflow == "ihm_pls":
+    if case == "ihm_pls":
         hm_path = tmp_path / "hard.json"
         save_hard_model(hm_path, HardModel(
             (ComponentModel("gel", (Peak(1000.0, 1.0, 0.5, 20.0),
@@ -49,12 +53,12 @@ def train(workflow, tmp_path):
     return run_workflow(config), tmp_path / "run" / "models"
 
 
-@pytest.mark.parametrize("workflow", sorted(CONFIGS))
-def test_reloaded_pipeline_reproduces_every_parity_row(workflow, tmp_path):
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_reloaded_pipeline_reproduces_every_parity_row(case, tmp_path):
     # Each split is predicted as the batch the report scored: a BLAS
     # matrix product can round a row differently when the rows around it
     # change, so a batch of both splits may differ in the last bits.
-    report, models = train(workflow, tmp_path)
+    report, models = train(case, tmp_path)
     pipe = load_pipeline(models)
     ds, _ = synth_generate(SynthSpec(**SYNTH))
     order = {sid: i for i, sid in enumerate(ds.sample_ids)}

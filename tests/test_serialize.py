@@ -11,11 +11,14 @@ import pytest
 
 from spectramap.altdmaps import alt_coordinates, fit_altdmaps
 from spectramap.conformal import YShapedSpec, predict_size, yae_fit
-from spectramap.dmaps import (EigenSelection, fit_dmaps, gh_fit, gh_predict,
-                              nystrom_extend)
+from spectramap.dmaps import (EigenSelection, Embed, KernelParams, fit_dmaps,
+                              gh_fit, gh_predict, nystrom_extend)
 from spectramap.gbt import GbtSpec, gbt_fit, gbt_predict
+from spectramap.ihm import (ComponentModel, HardModel, IhmFeatures, Peak,
+                            hard_model_eval, ihm_features)
 from spectramap.mlp import MlpSpec, mlp_fit, mlp_predict
 from spectramap.pls import pls_fit, pls_predict
+from spectramap.pretreat import apply_column_scaler, fit_column_scaler
 from spectramap.serialize import load_model, save_model
 
 
@@ -135,3 +138,84 @@ def test_version_and_type_guards(tmp_path, data):
         load_model(tmp_path / "m")
     with pytest.raises(TypeError):
         save_model(tmp_path / "x", object())
+
+
+def test_scaler_round_trip(tmp_path, data):
+    X, _ = data
+    model, _ = fit_column_scaler(np.column_stack([X, np.ones(len(X))]))
+    save_model(tmp_path / "m", model)
+    back = load_model(tmp_path / "m")
+    assert back.keep.dtype == bool
+    assert np.array_equal(back.keep, model.keep)
+    F = np.column_stack([X, np.zeros(len(X))])
+    assert np.array_equal(apply_column_scaler(back, F),
+                          apply_column_scaler(model, F))
+
+
+def test_embed_round_trip(tmp_path, data):
+    X, _ = data
+    model = Embed(dmap=fit_dmaps(X, n_eig=5), indices=(1, 3))
+    save_model(tmp_path / "m", model)
+    back = load_model(tmp_path / "m")
+    assert type(back.indices) is tuple and back.indices == (1, 3)
+    assert np.array_equal(nystrom_extend(back.dmap, X[:3], back.indices),
+                          nystrom_extend(model.dmap, X[:3], model.indices))
+
+
+def test_ihm_features_round_trip(tmp_path):
+    base = HardModel((ComponentModel("gel", (Peak(1000.0, 1.0, 0.5, 20.0),
+                                             Peak(1250.0, 0.8, 0.5, 28.0))),),
+                     (1.0,), (0.05, 0.0))
+    w = np.linspace(900.0, 1400.0, 120)
+    model = IhmFeatures(base=base, wavenumbers=w, mode="medium",
+                        position_bound=4.0, max_iterations=20)
+    save_model(tmp_path / "m", model)
+    back = load_model(tmp_path / "m")
+    assert back.base == base
+    assert type(back.base.components[0].peaks) is tuple
+    assert (back.mode, back.position_bound, back.max_iterations) == \
+        ("medium", 4.0, 20)
+    X = np.stack([1.1 * hard_model_eval(base, w) + 0.01,
+                  0.9 * hard_model_eval(base, w + 2.0)])
+    assert np.array_equal(ihm_features(back, X)[0], ihm_features(model, X)[0])
+
+
+def test_gbt_list_round_trip(tmp_path, data):
+    X, y = data
+    spec = GbtSpec(n_trees=5, max_depth=2)
+    models = [gbt_fit(X, y, spec), gbt_fit(X, -y, spec)]
+    save_model(tmp_path / "m", models)
+    back = load_model(tmp_path / "m")
+    assert type(back) is list and len(back) == 2
+    for m, b in zip(models, back):
+        assert b.spec == m.spec and b.trees == m.trees
+        assert type(b.train_mse) is list
+        assert np.array_equal(gbt_predict(b, X), gbt_predict(m, X))
+
+
+def test_type_outside_the_allowlist_is_refused(tmp_path, data):
+    X, _ = data
+    save_model(tmp_path / "m", EigenSelection((1,), np.zeros(2)))
+    doc_path = tmp_path / "m" / "model.json"
+    doc = json.loads(doc_path.read_text())
+    assert doc["format_version"] == 2
+    doc["model"]["__type__"] = "RunContext"
+    doc_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_model(tmp_path / "m")
+    with pytest.raises(TypeError):
+        save_model(tmp_path / "x", KernelParams())
+
+
+@pytest.mark.parametrize("name", ["../outside", "sub/residuals", "..\\outside",
+                                  ".hidden", ""])
+def test_array_names_must_be_plain_file_names(tmp_path, name):
+    model_dir = tmp_path / "m"
+    save_model(model_dir, EigenSelection((1,), np.zeros(2)))
+    np.save(tmp_path / "outside.npy", np.ones(2))
+    doc_path = model_dir / "model.json"
+    doc = json.loads(doc_path.read_text())
+    doc["model"]["residuals"]["__array__"] = name
+    doc_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="plain file name"):
+        load_model(model_dir)

@@ -357,7 +357,7 @@ class TestPlsWorkflows:
         assert report.test_metrics.r2 > 0.99
         assert report.diagnostics["ihm_unconverged_train"] == 0
         assert report.diagnostics["kept_feature_columns"] > 0
-        assert os.path.isfile(out / "models" / "hard_model.json")
+        assert os.path.isfile(out / "models" / "hard_model" / "model.json")
 
         ds, _ = synth_generate(SynthSpec(kind="peak_spectra", n_samples=40,
                                          noise=0.0))
