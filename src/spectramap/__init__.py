@@ -8,10 +8,11 @@ Submodules:
     metrics    regression quality metrics
     dmaps      diffusion maps, Nystrom extension, geometric harmonics
     altdmaps   alternating diffusion maps over paired sensors
-    mlp        small feed-forward regressor trained by mini-batch SGD
+    mlp        dense-net core (SubNet, forward/backward, SGD, gradient
+               check) and the feed-forward regressor trained on it
     gbt        second-order gradient-boosted regression trees
     pls        NIPALS partial least squares
-    conformal  Y-shaped conformal autoencoder
+    conformal  Y-shaped conformal autoencoder on the mlp dense-net core
     ihm        pseudo-Voigt hard models and Levenberg-Marquardt fitting
     synth      synthetic datasets with known hidden structure
     report     run reports, parity tables, deterministic emission

@@ -18,20 +18,27 @@ derivatives D_l = diag(act'(a_l)) the Jacobian factorizes as
 J = W_L D_{L-1} W_{L-1} ... D_1 W_1, and differentiating a contraction
 <M, J> with respect to the weights needs both the explicit product-rule
 terms and the implicit ones through the activations (second derivatives
-of the activation enter there).  Everything is batched with einsum; a
-finite-difference check lives next to the training code because this is
+of the activation enter there).  Everything is batched with einsum;
+`yae_grad_check` compares it with finite differences because this is
 easy to get subtly wrong.
+
+The subnetworks and everything dense-net generic come from the core in
+`mlp`; this module adds the Y-shaped loss, the Jacobian penalty and its
+gradient, and Adam.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import NumericError
+from .mlp import (ACTIVATIONS, SubNet, as_rows, grad_check, init_subnet,
+                  net_backward, net_forward as _net_forward, rescaled,
+                  sgd_step, squared_error, training_data)
 
 # cosine denominators are clamped here; never active for generic nets
 NORM_FLOOR = 1e-30
@@ -81,15 +88,6 @@ class YShapedSpec:
 
 
 @dataclass(eq=False)
-class SubNet:
-    """Dense stack with a linear final layer."""
-
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-    activation: str
-
-
-@dataclass(eq=False)
 class YShapedModel:
     spec: YShapedSpec
     encoder: SubNet
@@ -101,65 +99,13 @@ class YShapedModel:
     y_sd: np.ndarray
 
 
-def _act_funcs(name):
-    """(value, first derivative, second derivative), the derivatives
-    written in terms of (pre-activation, activation value)."""
-    if name == "tanh":
-        return (np.tanh,
-                lambda a, z: 1.0 - z * z,
-                lambda a, z: -2.0 * z * (1.0 - z * z))
-    return ((lambda a: a),
-            (lambda a, z: np.ones_like(a)),
-            (lambda a, z: np.zeros_like(a)))
-
-
-def _init_subnet(sizes, activation, rng) -> SubNet:
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out))
-    return SubNet(weights, biases, activation)
-
-
-def _net_forward(net: SubNet, X):
-    act, _, _ = _act_funcs(net.activation)
-    pre = []
-    zs = [X]
-    h = X
-    last = len(net.weights) - 1
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        a = h @ W.T + b
-        pre.append(a)
-        h = a if l == last else act(a)
-        zs.append(h)
-    return pre, zs
-
-
-def _net_backward(net: SubNet, pre, zs, delta_out):
-    """Backpropagate d(loss)/d(output); returns weight/bias gradients and
-    d(loss)/d(input)."""
-    _, dact, _ = _act_funcs(net.activation)
-    L = len(net.weights)
-    gW = [None] * L
-    gb = [None] * L
-    delta = delta_out
-    for l in range(L - 1, -1, -1):
-        gW[l] = delta.T @ zs[l]
-        gb[l] = delta.sum(axis=0)
-        delta = delta @ net.weights[l]
-        if l > 0:
-            delta = delta * dact(pre[l - 1], zs[l])
-    return gW, gb, delta
-
-
 def _jacobian_forward(net: SubNet, Xs):
     """Batched encoder Jacobian in standardized input units, plus the
     intermediates the penalty gradient needs.
 
     Gs[l] is d z_l / d x (batch, width_l, d_in); Vs[l] the same for the
     pre-activation a_{l+1}."""
-    _, dact, _ = _act_funcs(net.activation)
+    dact = ACTIVATIONS[net.activation][1]
     pre, zs = _net_forward(net, Xs)
     n, d = Xs.shape
     G = np.broadcast_to(np.eye(d), (n, d, d)).copy()
@@ -193,7 +139,7 @@ def _penalty_loss_and_grads(net: SubNet, Xs, x_sd):
     """Value and encoder-parameter gradients of the orthogonality
     penalty.  The Jacobian is taken with respect to raw inputs, so the
     standardized-unit Jacobian picks up a 1/sd column scaling."""
-    _, dact, ddact = _act_funcs(net.activation)
+    _, dact, ddact = ACTIVATIONS[net.activation]
     pre, zs, Gs, Vs, J_std = _jacobian_forward(net, Xs)
     J_raw = J_std / x_sd
     value, M_raw = _penalty_value_and_M(J_raw)
@@ -231,13 +177,6 @@ def _penalty_loss_and_grads(net: SubNet, Xs, x_sd):
     return value, gW, gb
 
 
-def _standardize(M):
-    mean = M.mean(axis=0)
-    sd = M.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    return (M - mean) / sd, mean, sd
-
-
 def _loss_and_grads(model: YShapedModel, Xs, Ys):
     """Total weighted loss, its unweighted parts, and gradients for all
     three subnetworks, everything in standardized units."""
@@ -247,19 +186,13 @@ def _loss_and_grads(model: YShapedModel, Xs, Ys):
     nu = zs_e[-1]
     pre_d, zs_d = _net_forward(model.decoder, nu)
     pre_h, zs_h = _net_forward(model.head, nu[:, [p]])
-    xhat = zs_d[-1]
-    yhat = zs_h[-1]
-    recon = float(np.mean((xhat - Xs) ** 2))
-    predl = float(np.mean((yhat - Ys) ** 2))
-    gW_d, gb_d, delta_nu = _net_backward(
-        model.decoder, pre_d, zs_d,
-        spec.w_recon * 2.0 * (xhat - Xs) / xhat.size)
-    gW_h, gb_h, delta_p = _net_backward(
-        model.head, pre_h, zs_h,
-        spec.w_pred * 2.0 * (yhat - Ys) / yhat.size)
+    recon, delta_x = squared_error(zs_d[-1], Xs, spec.w_recon)
+    predl, delta_y = squared_error(zs_h[-1], Ys, spec.w_pred)
+    gW_d, gb_d, delta_nu = net_backward(model.decoder, pre_d, zs_d, delta_x)
+    gW_h, gb_h, delta_p = net_backward(model.head, pre_h, zs_h, delta_y)
     delta_nu = delta_nu.copy()
     delta_nu[:, p] += delta_p[:, 0]
-    gW_e, gb_e, _ = _net_backward(model.encoder, pre_e, zs_e, delta_nu)
+    gW_e, gb_e, _ = net_backward(model.encoder, pre_e, zs_e, delta_nu)
     orth = 0.0
     if spec.w_orth > 0:
         orth, pW, pb = _penalty_loss_and_grads(model.encoder, Xs, model.x_sd)
@@ -271,46 +204,35 @@ def _loss_and_grads(model: YShapedModel, Xs, Ys):
             _jacobian_forward(model.encoder, Xs)[4] / model.x_sd)
     total = spec.w_recon * recon + spec.w_pred * predl + spec.w_orth * orth
     parts = {"recon": recon, "pred": predl, "orth": orth}
-    grads = {"encoder": (gW_e, gb_e), "decoder": (gW_d, gb_d),
-             "head": (gW_h, gb_h)}
-    return total, parts, grads
+    return total, parts, gW_e + gb_e + gW_d + gb_d + gW_h + gb_h
 
 
-def _make_optimizer(spec: YShapedSpec, nets: Dict[str, SubNet]):
+def _params(model: YShapedModel) -> List[np.ndarray]:
+    """Weights and biases in the order of _loss_and_grads' gradients."""
+    return [p for net in (model.encoder, model.decoder, model.head)
+            for p in net.weights + net.biases]
+
+
+def _make_optimizer(spec: YShapedSpec, params: List[np.ndarray]):
     lr = spec.learning_rate
     if spec.optimizer == "sgd":
         def step(grads):
-            for name, net in nets.items():
-                gW, gb = grads[name]
-                for l in range(len(net.weights)):
-                    net.weights[l] -= lr * gW[l]
-                    net.biases[l] -= lr * gb[l]
+            sgd_step(zip(params, grads), lr)
         return step
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state = {name: [(np.zeros_like(W), np.zeros_like(W),
-                     np.zeros_like(b), np.zeros_like(b))
-                    for W, b in zip(net.weights, net.biases)]
-             for name, net in nets.items()}
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     t = [0]
 
     def step(grads):
         t[0] += 1
         c1 = 1.0 - beta1 ** t[0]
         c2 = 1.0 - beta2 ** t[0]
-        for name, net in nets.items():
-            gW, gb = grads[name]
-            for l in range(len(net.weights)):
-                mW, vW, mb, vb = state[name][l]
-                mW *= beta1
-                mW += (1 - beta1) * gW[l]
-                vW *= beta2
-                vW += (1 - beta2) * gW[l] ** 2
-                net.weights[l] -= lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
-                mb *= beta1
-                mb += (1 - beta1) * gb[l]
-                vb *= beta2
-                vb += (1 - beta2) * gb[l] ** 2
-                net.biases[l] -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        for p, g, (m, v) in zip(params, grads, moments):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g ** 2
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return step
 
 
@@ -321,26 +243,18 @@ def yae_fit(Phi: np.ndarray, sizes: np.ndarray,
     per-epoch loss history (total plus unweighted parts)."""
     if spec is None:
         spec = YShapedSpec()
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(sizes, dtype=float).ravel()
-    if Phi.ndim != 2 or Phi.shape[0] != y.size:
-        raise ValueError("Phi and sizes disagree on sample count")
-    if Phi.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    Xs, x_mean, x_sd = _standardize(Phi)
-    Ys, y_mean, y_sd = _standardize(y[:, None])
-    d = Phi.shape[1]
+    (Xs, x_mean, x_sd), (Ys, y_mean, y_sd) = training_data(
+        Phi, np.ravel(sizes))
+    n, d = Xs.shape
     rng = np.random.default_rng(spec.seed)
-    encoder = _init_subnet([d, *spec.encoder_hidden, spec.n_latent],
-                           spec.encoder_activation, rng)
-    decoder = _init_subnet([spec.n_latent, *spec.decoder_hidden, d],
-                           spec.decoder_activation, rng)
-    head = _init_subnet([1, *spec.head_hidden, 1], spec.head_activation, rng)
+    encoder = init_subnet([d, *spec.encoder_hidden, spec.n_latent],
+                          spec.encoder_activation, rng)
+    decoder = init_subnet([spec.n_latent, *spec.decoder_hidden, d],
+                          spec.decoder_activation, rng)
+    head = init_subnet([1, *spec.head_hidden, 1], spec.head_activation, rng)
     model = YShapedModel(spec, encoder, decoder, head,
                          x_mean, x_sd, y_mean, y_sd)
-    nets = {"encoder": encoder, "decoder": decoder, "head": head}
-    step = _make_optimizer(spec, nets)
-    n = Phi.shape[0]
+    step = _make_optimizer(spec, _params(model))
     history: List[dict] = []
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
@@ -358,32 +272,23 @@ def yae_fit(Phi: np.ndarray, sizes: np.ndarray,
 
 
 def encode(model: YShapedModel, phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    one = phi.ndim == 1
-    X = phi[None, :] if one else phi
-    if X.shape[1] != model.x_mean.size:
-        raise ValueError("input dimension mismatch")
+    X, one = as_rows(phi, model.x_mean.size)
     _, zs = _net_forward(model.encoder, (X - model.x_mean) / model.x_sd)
     nu = zs[-1]
     return nu[0] if one else nu
 
 
 def decode(model: YShapedModel, nu: np.ndarray) -> np.ndarray:
-    nu = np.asarray(nu, dtype=float)
-    one = nu.ndim == 1
-    N = nu[None, :] if one else nu
-    if N.shape[1] != model.spec.n_latent:
-        raise ValueError("latent dimension mismatch")
+    N, one = as_rows(nu, model.spec.n_latent, "latent")
     _, zs = _net_forward(model.decoder, N)
     out = zs[-1] * model.x_sd + model.x_mean
     return out[0] if one else out
 
 
 def predict_size(model: YShapedModel, phi: np.ndarray) -> np.ndarray:
-    nu = encode(model, phi)
-    one = nu.ndim == 1
-    N = nu[None, :] if one else nu
-    _, zs = _net_forward(model.head, N[:, [model.spec.pred_index]])
+    X, one = as_rows(phi, model.x_mean.size)
+    nu = encode(model, X)
+    _, zs = _net_forward(model.head, nu[:, [model.spec.pred_index]])
     out = zs[-1][:, 0] * model.y_sd[0] + model.y_mean[0]
     return float(out[0]) if one else out
 
@@ -391,22 +296,17 @@ def predict_size(model: YShapedModel, phi: np.ndarray) -> np.ndarray:
 def encoder_jacobian(model: YShapedModel, phi: np.ndarray) -> np.ndarray:
     """Jacobian of the latent coordinates with respect to the raw input
     at one point, shape (n_latent, n_inputs)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1:
+    if np.ndim(phi) != 1:
         raise ValueError("expected a single input point")
-    if phi.size != model.x_mean.size:
-        raise ValueError("input dimension mismatch")
-    Xs = ((phi - model.x_mean) / model.x_sd)[None, :]
-    J_std = _jacobian_forward(model.encoder, Xs)[4]
-    return J_std[0] / model.x_sd
+    X, _ = as_rows(phi, model.x_mean.size)
+    Xs = (X - model.x_mean) / model.x_sd
+    return _jacobian_forward(model.encoder, Xs)[4][0] / model.x_sd
 
 
 def orthogonality_score(model: YShapedModel, Phi: np.ndarray) -> float:
     """Mean absolute cosine between distinct encoder Jacobian rows,
     averaged over samples and pairs; zero-norm rows are skipped."""
-    Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim == 1:
-        Phi = Phi[None, :]
+    Phi, _ = as_rows(Phi, model.x_mean.size)
     if Phi.shape[0] < 1:
         raise ValueError("need at least one sample")
     Xs = (Phi - model.x_mean) / model.x_sd
@@ -433,31 +333,7 @@ def yae_grad_check(model: YShapedModel, Phi: np.ndarray, sizes: np.ndarray,
                    step: float = 1e-6) -> float:
     """Max relative error between the analytic full-loss gradient
     (orthogonality term included) and central finite differences."""
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(sizes, dtype=float).ravel()
-    Xs = (Phi - model.x_mean) / model.x_sd
-    Ys = (y[:, None] - model.y_mean) / model.y_sd
-    _, _, grads = _loss_and_grads(model, Xs, Ys)
-
-    def loss_at():
-        return _loss_and_grads(model, Xs, Ys)[0]
-
-    worst = 0.0
-    for name, net in (("encoder", model.encoder), ("decoder", model.decoder),
-                      ("head", model.head)):
-        gW, gb = grads[name]
-        for arrs, gs in ((net.weights, gW), (net.biases, gb)):
-            for arr, g in zip(arrs, gs):
-                flat = arr.ravel()
-                gflat = g.ravel()
-                for i in range(flat.size):
-                    keep = flat[i]
-                    flat[i] = keep + step
-                    up = loss_at()
-                    flat[i] = keep - step
-                    down = loss_at()
-                    flat[i] = keep
-                    fd = (up - down) / (2 * step)
-                    denom = max(abs(gflat[i]), abs(fd), 1e-8)
-                    worst = max(worst, abs(gflat[i] - fd) / denom)
-    return worst
+    Xs, Ys = rescaled(model, Phi, np.ravel(sizes))
+    grads = _loss_and_grads(model, Xs, Ys)[2]
+    return grad_check(lambda: _loss_and_grads(model, Xs, Ys)[0],
+                      zip(_params(model), grads), step)

@@ -25,11 +25,11 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .altdmaps import AltDmapModel
-from .conformal import SubNet, YShapedModel, YShapedSpec
+from .conformal import YShapedModel, YShapedSpec
 from .dmaps import DmapModel, EigenSelection, Embed, GhModel
 from .gbt import GbtModel, GbtSpec
 from .ihm import ComponentModel, HardModel, IhmFeatures, Peak
-from .mlp import MlpModel, MlpSpec
+from .mlp import MlpModel, MlpSpec, SubNet
 from .pls import PlsModel
 from .pretreat import ColumnScaler
 
@@ -41,10 +41,16 @@ _TYPES = {cls.__name__: cls for cls in (
     MlpSpec, Peak, PlsModel, SubNet, YShapedModel, YShapedSpec)}
 
 
+def is_plain_name(name) -> bool:
+    """Whether name is a nonempty string naming an entry of its own
+    directory: no `/` or `\\`, and no leading `.`."""
+    return (isinstance(name, str) and bool(name) and "/" not in name
+            and "\\" not in name and not name.startswith("."))
+
+
 def _array_file(path, name) -> str:
     """The `.npy` file of array `name`, which must be a plain file name."""
-    if (not isinstance(name, str) or not name or "/" in name
-            or "\\" in name or name.startswith(".")):
+    if not is_plain_name(name):
         raise ValueError(f"array name {name!r} is not a plain file name")
     return os.path.join(path, f"{name}.npy")
 

@@ -54,7 +54,7 @@ from .pls import PlsModel, pls_choose_components, pls_fit, pls_predict
 from .pretreat import (ColumnScaler, apply_column_scaler, apply_pretreatment,
                        fit_column_scaler)
 from .report import ParityRow, RunReport, config_hash
-from .serialize import load_model, save_model
+from .serialize import is_plain_name, load_model, save_model
 from .synth import SynthSpec, synth_generate
 
 _TOP_KEYS = frozenset({"workflow", "seed", "data", "pretreatment", "split",
@@ -492,6 +492,9 @@ def load_pipeline(models_dir) -> Pipeline:
             f"{models_dir}: manifest records no training wavenumber grid")
     require(bool(manifest.get("stages")),
             f"{models_dir}: manifest names no prediction stages")
+    for name in manifest["stages"]:
+        require(is_plain_name(name),
+                f"{models_dir}: stage name {name!r} is not a plain name")
     stages = tuple(load_model(os.path.join(models_dir, name))
                    for name in manifest["stages"])
     return Pipeline(manifest=manifest, stages=stages,

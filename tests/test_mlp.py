@@ -112,6 +112,18 @@ def test_predict_single_row():
     assert single == pytest.approx(mlp_predict(model, X)[3])
 
 
+@pytest.mark.parametrize("cols", [slice(0, 1), slice(0, 4), slice(None)])
+def test_predict_refuses_the_wrong_input_width(cols):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(20, 5))
+    model = mlp_fit(X, X[:, 0], MlpSpec(hidden=(4,), epochs=2, seed=0))
+    wrong = np.column_stack([X, X[:, 0]])[:, cols]
+    with pytest.raises(ValueError, match="input dimension mismatch"):
+        mlp_predict(model, wrong)
+    with pytest.raises(ValueError, match="input dimension mismatch"):
+        mlp_predict(model, wrong[0])
+
+
 def test_multioutput_targets():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 2))

@@ -3,6 +3,7 @@
 grid are refused."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_cli_predict_refuses_a_shifted_axis(tmp_path):
             "spectra": str(tmp_path / spectra)})
         assert entry(["predict", "--config", pcfg,
                       "--out", str(tmp_path / "preds.csv")]) == code
+
+
+def test_cli_predict_refuses_stage_names_that_leave_the_models_dir(tmp_path):
+    # the copy's stages may not reach the original run's models
+    _, models = train("pls_direct", tmp_path)
+    copy = tmp_path / "copy"
+    shutil.copytree(models, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    first = manifest["stages"][0]
+    ds, _ = synth_generate(SynthSpec(**SYNTH))
+    save_spectra(ds, tmp_path / "x.csv")
+    pcfg = write_json(tmp_path / "p.json", {
+        "models": str(copy), "spectra": str(tmp_path / "x.csv")})
+    for name, code in ((first, 0), (f"../run/models/{first}", 2),
+                       (str(models / first), 2)):
+        manifest["stages"][0] = name
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        assert entry(["predict", "--config", pcfg,
+                      "--out", str(tmp_path / "preds.csv")]) == code, name
 
 
 def test_manifest_without_grid_is_refused(pls_models, tmp_path):

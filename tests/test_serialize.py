@@ -10,16 +10,21 @@ import numpy as np
 import pytest
 
 from spectramap.altdmaps import alt_coordinates, fit_altdmaps
-from spectramap.conformal import YShapedSpec, predict_size, yae_fit
+from spectramap.conformal import (YShapedModel, YShapedSpec, decode, encode,
+                                  predict_size, yae_fit)
 from spectramap.dmaps import (EigenSelection, Embed, KernelParams, fit_dmaps,
                               gh_fit, gh_predict, nystrom_extend)
 from spectramap.gbt import GbtSpec, gbt_fit, gbt_predict
 from spectramap.ihm import (ComponentModel, HardModel, IhmFeatures, Peak,
                             hard_model_eval, ihm_features)
-from spectramap.mlp import MlpSpec, mlp_fit, mlp_predict
+from spectramap.mlp import MlpModel, MlpSpec, mlp_fit, mlp_predict
 from spectramap.pls import pls_fit, pls_predict
 from spectramap.pretreat import apply_column_scaler, fit_column_scaler
 from spectramap.serialize import load_model, save_model
+
+# a tiny MlpModel and YShapedModel written in format 2 by an earlier
+# version, with their predictions on a few inputs at that version
+FORMAT2 = os.path.join(os.path.dirname(__file__), "data", "format2")
 
 
 def _dir_digest(path):
@@ -219,3 +224,18 @@ def test_array_names_must_be_plain_file_names(tmp_path, name):
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="plain file name"):
         load_model(model_dir)
+
+
+def test_format2_models_written_earlier_reload_and_predict():
+    with open(os.path.join(FORMAT2, "predictions.json")) as fh:
+        expected = json.load(fh)
+    X = np.array(expected["inputs"])
+    mlp = load_model(os.path.join(FORMAT2, "mlp"))
+    yae = load_model(os.path.join(FORMAT2, "yshaped"))
+    assert isinstance(mlp, MlpModel) and isinstance(yae, YShapedModel)
+    nu = encode(yae, X)
+    for got, key in ((mlp_predict(mlp, X), "mlp_predict"),
+                     (predict_size(yae, X), "predict_size"),
+                     (nu, "encode"), (decode(yae, nu), "decode")):
+        np.testing.assert_allclose(got, expected[key], rtol=0, atol=1e-12,
+                                   err_msg=key)
