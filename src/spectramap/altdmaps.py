@@ -24,9 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dmaps import (KernelParams, epsilon_median_heuristic, gaussian_kernel,
-                    pairwise_sq_distances, density_normalize, markov_normalize,
-                    _fix_signs)
+from .dmaps import KernelParams, markov_normalize, training_kernel, _fix_signs
 from .errors import NumericError
 
 IMAG_LEAK_TOL = 1e-8
@@ -45,11 +43,8 @@ class AltDmapModel:
 
 
 def _markov_kernel(X: np.ndarray, params: KernelParams) -> Tuple[np.ndarray, float]:
-    D2 = pairwise_sq_distances(X)
-    eps = params.epsilon if params.epsilon is not None else epsilon_median_heuristic(D2)
-    W = gaussian_kernel(D2, eps)
-    Wt = density_normalize(W) if params.density_normalize else W
-    return markov_normalize(Wt), float(eps)
+    Wt, _, eps = training_kernel(X, params)
+    return markov_normalize(Wt), eps
 
 
 def fit_altdmaps(X1: np.ndarray, X2: np.ndarray,

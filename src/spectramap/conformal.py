@@ -119,19 +119,24 @@ def _jacobian_forward(net: SubNet, Xs):
     return pre, zs, Gs, Vs, J
 
 
-def _penalty_value_and_M(J):
-    """Mean over the batch of sum_{i<j} cos^2 between Jacobian rows, and
-    its gradient with respect to J itself."""
-    n_batch = J.shape[0]
+def _penalty_cosines(J):
+    """Jacobian row norms, the off-diagonal cosines between the rows,
+    and the penalty value: the mean over the batch of sum_{i<j} cos^2."""
     norms = np.maximum(np.linalg.norm(J, axis=2), NORM_FLOOR)
     Jn = J / norms[:, :, None]
     C = Jn @ Jn.transpose(0, 2, 1)
     mask = 1.0 - np.eye(J.shape[1])
     Coff = C * mask
-    value = 0.5 * float(np.sum(Coff ** 2)) / n_batch
+    value = 0.5 * float(np.sum(Coff ** 2)) / J.shape[0]
+    return norms, Coff, value
+
+
+def _penalty_value_and_M(J):
+    """The penalty value and its gradient with respect to J itself."""
+    norms, Coff, value = _penalty_cosines(J)
     H = Coff / (norms[:, :, None] * norms[:, None, :])
     q = np.sum(Coff ** 2, axis=2)
-    M = (2.0 / n_batch) * (H @ J - (q / norms ** 2)[:, :, None] * J)
+    M = (2.0 / J.shape[0]) * (H @ J - (q / norms ** 2)[:, :, None] * J)
     return value, M
 
 
@@ -177,33 +182,53 @@ def _penalty_loss_and_grads(net: SubNet, Xs, x_sd):
     return value, gW, gb
 
 
+def _forward(model: YShapedModel, Xs, Ys):
+    """Forward pass of the three subnetworks with the unweighted
+    reconstruction and prediction errors and their weighted deltas."""
+    spec = model.spec
+    pre_e, zs_e = _net_forward(model.encoder, Xs)
+    nu = zs_e[-1]
+    pre_d, zs_d = _net_forward(model.decoder, nu)
+    pre_h, zs_h = _net_forward(model.head, nu[:, [spec.pred_index]])
+    recon, delta_x = squared_error(zs_d[-1], Xs, spec.w_recon)
+    predl, delta_y = squared_error(zs_h[-1], Ys, spec.w_pred)
+    return (pre_e, zs_e), (pre_d, zs_d, delta_x), (pre_h, zs_h, delta_y), \
+        recon, predl
+
+
+def _weighted(spec: YShapedSpec, recon: float, predl: float, orth: float):
+    total = spec.w_recon * recon + spec.w_pred * predl + spec.w_orth * orth
+    return total, {"recon": recon, "pred": predl, "orth": orth}
+
+
+def _loss(model: YShapedModel, Xs, Ys):
+    """Total weighted loss and its unweighted parts, without gradients:
+    the same arithmetic as _loss_and_grads, so the same bits."""
+    *_, recon, predl = _forward(model, Xs, Ys)
+    J = _jacobian_forward(model.encoder, Xs)[4] / model.x_sd
+    return _weighted(model.spec, recon, predl, _penalty_cosines(J)[2])
+
+
 def _loss_and_grads(model: YShapedModel, Xs, Ys):
     """Total weighted loss, its unweighted parts, and gradients for all
     three subnetworks, everything in standardized units."""
     spec = model.spec
-    p = spec.pred_index
-    pre_e, zs_e = _net_forward(model.encoder, Xs)
-    nu = zs_e[-1]
-    pre_d, zs_d = _net_forward(model.decoder, nu)
-    pre_h, zs_h = _net_forward(model.head, nu[:, [p]])
-    recon, delta_x = squared_error(zs_d[-1], Xs, spec.w_recon)
-    predl, delta_y = squared_error(zs_h[-1], Ys, spec.w_pred)
+    (pre_e, zs_e), (pre_d, zs_d, delta_x), (pre_h, zs_h, delta_y), \
+        recon, predl = _forward(model, Xs, Ys)
     gW_d, gb_d, delta_nu = net_backward(model.decoder, pre_d, zs_d, delta_x)
     gW_h, gb_h, delta_p = net_backward(model.head, pre_h, zs_h, delta_y)
     delta_nu = delta_nu.copy()
-    delta_nu[:, p] += delta_p[:, 0]
+    delta_nu[:, spec.pred_index] += delta_p[:, 0]
     gW_e, gb_e, _ = net_backward(model.encoder, pre_e, zs_e, delta_nu)
-    orth = 0.0
     if spec.w_orth > 0:
         orth, pW, pb = _penalty_loss_and_grads(model.encoder, Xs, model.x_sd)
         for l in range(len(gW_e)):
             gW_e[l] = gW_e[l] + spec.w_orth * pW[l]
             gb_e[l] = gb_e[l] + spec.w_orth * pb[l]
     else:
-        orth, _ = _penalty_value_and_M(
-            _jacobian_forward(model.encoder, Xs)[4] / model.x_sd)
-    total = spec.w_recon * recon + spec.w_pred * predl + spec.w_orth * orth
-    parts = {"recon": recon, "pred": predl, "orth": orth}
+        orth = _penalty_cosines(
+            _jacobian_forward(model.encoder, Xs)[4] / model.x_sd)[2]
+    total, parts = _weighted(spec, recon, predl, orth)
     return total, parts, gW_e + gb_e + gW_d + gb_d + gW_h + gb_h
 
 
@@ -264,7 +289,7 @@ def yae_fit(Phi: np.ndarray, sizes: np.ndarray,
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged at epoch {epoch}")
             step(grads)
-        total, parts, _ = _loss_and_grads(model, Xs, Ys)
+        total, parts = _loss(model, Xs, Ys)
         if not np.isfinite(total):
             raise NumericError(f"training diverged at epoch {epoch}")
         history.append({"epoch": epoch, "total": total, **parts})
@@ -335,5 +360,5 @@ def yae_grad_check(model: YShapedModel, Phi: np.ndarray, sizes: np.ndarray,
     (orthogonality term included) and central finite differences."""
     Xs, Ys = rescaled(model, Phi, np.ravel(sizes))
     grads = _loss_and_grads(model, Xs, Ys)[2]
-    return grad_check(lambda: _loss_and_grads(model, Xs, Ys)[0],
+    return grad_check(lambda: _loss(model, Xs, Ys)[0],
                       zip(_params(model), grads), step)

@@ -29,6 +29,33 @@ where the kernel row of x is normalized with the training conventions
 left).  Eigenpairs with lambda below NYSTROM_EIG_FLOOR are not
 extendable and are refused.
 
+Every kernel, the training one and the Nystrom rows alike, is built on
+one distance primitive.  Both sides are centred on the training column
+mean c, and
+
+    D2(a, b) = |a - c|^2 + |b - c|^2 - 2 (a - c).(b - c),  clipped at 0,
+
+so one matrix product (BLAS GEMM) does the work.  Centring keeps the
+cancellation error near 1e-15 of the largest D2 even for spectra on a
+large common offset, and c is taken as x_0 + mean(x - x_0), which
+equals the row itself when all rows are the same: identical rows then
+give exact zeros, so the median heuristic still refuses them.  The
+training diagonal is set to exactly 0.  The training side (c, the
+centred points and their squared norms) is cached on the DmapModel
+object, not stored in the model files.
+
+Before exp, each Nystrom row has its smallest D2 subtracted.  That
+multiplies the row of W by exp(min D2 / eps^2), a per-row factor which
+the left-hand density and Markov normalizations both divide out, so
+the shift changes nothing but rounding.  It keeps the nearest training
+point at weight 1, so the row sums never underflow, however far the new
+point lies: a far-off spectrum is embedded near its nearest training
+point instead of failing its whole batch.  The training kernel needs no
+shift, since its diagonal is already exp(0) = 1.  New points are
+extended NYSTROM_CHUNK_ROWS rows at a time, which bounds the memory of
+a batch kernel; each row is computed on its own, but a BLAS product
+may still round a row differently when the rows beside it change.
+
 Geometric harmonics reuse the same machinery to lift a function given
 on training points to new points: fit a kernel over the input
 coordinates, keep eigenpairs with lambda >= delta * lambda_max, project
@@ -41,6 +68,7 @@ extend exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Sequence
 
 import numpy as np
@@ -49,6 +77,8 @@ from scipy.spatial.distance import cdist
 from .errors import NumericError
 
 NYSTROM_EIG_FLOOR = 1e-6
+# rows of new points per Nystrom kernel block
+NYSTROM_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -87,9 +117,21 @@ class DmapModel:
         """Indices whose eigenvalue is too small for Nystrom extension."""
         return tuple(int(i) for i in np.nonzero(self.eigenvalues < NYSTROM_EIG_FLOOR)[0])
 
+    @cached_property
+    def _train_side(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centre, centred points, their squared norms): the training
+        side of every Nystrom kernel row, computed once per model
+        object.  It is not a dataclass field, so it is never saved."""
+        centre = _column_centre(self.points)
+        C = self.points - centre
+        return centre, C, _sq_norms(C)
+
     def truncate(self, m: int) -> "DmapModel":
+        # a contiguous copy, laid out like a loaded model's, so that
+        # Nystrom products round alike before and after a reload
         return DmapModel(self.points, self.epsilon, self.density_normalize,
-                         self.eigenvalues[:m], self.eigenvectors[:, :m],
+                         self.eigenvalues[:m],
+                         np.ascontiguousarray(self.eigenvectors[:, :m]),
                          self.p_row_sums, self.d_row_sums)
 
 
@@ -114,6 +156,27 @@ class Embed:
         return self.dmap.eigenvectors[:, list(self.indices)]
 
 
+def _column_centre(X: np.ndarray) -> np.ndarray:
+    """Column mean of X, taken as x_0 + mean(x - x_0) so that it equals
+    the common row exactly when all rows are the same."""
+    return X[0] + (X - X[0]).mean(axis=0)
+
+
+def _sq_norms(C: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", C, C)
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray, sq_a: np.ndarray,
+                  sq_b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of A and B, centred on the same
+    point, with squared norms sq_a and sq_b: one GEMM, clipped at 0."""
+    D2 = np.add.outer(sq_a, sq_b)
+    G = A @ B.T
+    G *= 2.0
+    D2 -= G
+    return np.maximum(D2, 0.0, out=D2)
+
+
 def pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
     """Symmetric matrix of squared Euclidean distances with a zero diagonal."""
     X = np.asarray(X, dtype=float)
@@ -121,8 +184,9 @@ def pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
         raise ValueError("X must be 2-D (n_samples, n_features)")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite values")
-    D2 = cdist(X, X, "sqeuclidean")
-    D2 = 0.5 * (D2 + D2.T)
+    C = X - _column_centre(X)
+    sq = _sq_norms(C)
+    D2 = _sq_distances(C, C, sq, sq)
     np.fill_diagonal(D2, 0.0)
     return D2
 
@@ -157,6 +221,22 @@ def markov_normalize(Wt: np.ndarray) -> np.ndarray:
     return Wt / d[:, None]
 
 
+def training_kernel(X: np.ndarray, params: KernelParams
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+    """Distances, epsilon, W and (if enabled) the density normalization
+    of a training set: returns (W~, the row sums P or None, epsilon).
+
+    W_ii = exp(0) = 1, so every row sum of W is at least 1 and every row
+    of W~ keeps a diagonal entry of at least 1/n^2: no row sum can
+    underflow, and none is guarded."""
+    D2 = pairwise_sq_distances(X)
+    eps = params.epsilon if params.epsilon is not None else epsilon_median_heuristic(D2)
+    W = gaussian_kernel(D2, eps)
+    if not params.density_normalize:
+        return W, None, float(eps)
+    return density_normalize(W), W.sum(axis=1), float(eps)
+
+
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Flip columns so the largest-magnitude entry of each is positive."""
     V = V.copy()
@@ -177,14 +257,8 @@ def fit_dmaps(X: np.ndarray, params: Optional[KernelParams] = None,
         raise ValueError("n_eig must be at least 2")
     if X.ndim != 2 or X.shape[0] <= n_eig:
         raise ValueError("need more samples than requested eigenpairs")
-    D2 = pairwise_sq_distances(X)
-    eps = params.epsilon if params.epsilon is not None else epsilon_median_heuristic(D2)
-    W = gaussian_kernel(D2, eps)
-    Wt = density_normalize(W) if params.density_normalize else W
-    p = W.sum(axis=1) if params.density_normalize else None
+    Wt, p, eps = training_kernel(X, params)
     d = Wt.sum(axis=1)
-    if np.any(d <= 0):
-        raise NumericError("kernel row sum underflowed to zero")
     inv_sqrt_d = 1.0 / np.sqrt(d)
     S = Wt * np.outer(inv_sqrt_d, inv_sqrt_d)
     S = 0.5 * (S + S.T)
@@ -196,30 +270,27 @@ def fit_dmaps(X: np.ndarray, params: Optional[KernelParams] = None,
     phi = _fix_signs(phi)
     if abs(lam[0] - 1.0) > 1e-8:
         raise NumericError(f"leading eigenvalue {lam[0]!r} is not 1; kernel is broken")
-    return DmapModel(points=X.copy(), epsilon=float(eps),
+    return DmapModel(points=X.copy(), epsilon=eps,
                      density_normalize=params.density_normalize,
                      eigenvalues=lam, eigenvectors=phi,
                      p_row_sums=p, d_row_sums=d)
 
 
 def _kernel_rows(model: DmapModel, X_new: np.ndarray) -> np.ndarray:
-    """Markov kernel rows K(x_new, x_train) under training conventions."""
-    X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim != 2 or X_new.shape[1] != model.points.shape[1]:
-        raise ValueError("new points must match the training dimension")
-    if not np.all(np.isfinite(X_new)):
-        raise ValueError("new points contain non-finite values")
-    D2 = cdist(X_new, model.points, "sqeuclidean")
-    W = np.exp(-D2 / (model.epsilon * model.epsilon))
+    """Markov kernel rows K(x_new, x_train) under training conventions,
+    each row's D2 shifted by its minimum (see the module docstring).
+    The nearest training point keeps weight 1, so no row sum can
+    underflow, and none is guarded."""
+    centre, C, sq = model._train_side
+    A = X_new - centre
+    D2 = _sq_distances(A, C, _sq_norms(A), sq)
+    D2 -= D2.min(axis=1, keepdims=True)
+    D2 /= -(model.epsilon * model.epsilon)
+    W = np.exp(D2, out=D2)
     if model.density_normalize:
-        p_new = W.sum(axis=1)
-        if np.any(p_new <= 0):
-            raise NumericError("kernel row sum underflowed to zero")
-        W = W / np.outer(p_new, model.p_row_sums)
-    d_new = W.sum(axis=1)
-    if np.any(d_new <= 0):
-        raise NumericError("kernel row sum underflowed to zero")
-    return W / d_new[:, None]
+        W /= np.outer(W.sum(axis=1), model.p_row_sums)
+    W /= W.sum(axis=1)[:, None]
+    return W
 
 
 def nystrom_extend(model: DmapModel, X_new: np.ndarray,
@@ -243,8 +314,17 @@ def nystrom_extend(model: DmapModel, X_new: np.ndarray,
     if bad.size:
         raise ValueError(f"eigenvalues of indices {bad.tolist()} are below "
                          f"{NYSTROM_EIG_FLOOR}; not extendable")
-    K_new = _kernel_rows(model, X_new)
-    return (K_new @ model.eigenvectors[:, idx]) / lam
+    X_new = np.asarray(X_new, dtype=float)
+    if X_new.ndim != 2 or X_new.shape[1] != model.points.shape[1]:
+        raise ValueError("new points must match the training dimension")
+    if not np.all(np.isfinite(X_new)):
+        raise ValueError("new points contain non-finite values")
+    V = model.eigenvectors if indices is None else model.eigenvectors[:, idx]
+    out = np.empty((X_new.shape[0], idx.size))
+    for start in range(0, X_new.shape[0], NYSTROM_CHUNK_ROWS):
+        rows = slice(start, start + NYSTROM_CHUNK_ROWS)
+        out[rows] = (_kernel_rows(model, X_new[rows]) @ V) / lam
+    return out
 
 
 def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5,

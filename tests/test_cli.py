@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spectramap.cli import entry
-from spectramap.dataset import load_spectra
+from spectramap.dataset import SpectraSet, load_spectra, save_spectra
 from spectramap.dmaps import nystrom_extend
 from spectramap.serialize import load_model
 
@@ -126,6 +126,27 @@ class TestTrainPredictEvaluate:
         })
         assert entry(["train", "direct_dmaps_nn", "--config", cfg,
                       "--out", str(tmp_path / "x")]) == 3
+
+
+def test_predict_scores_a_batch_with_a_far_off_row(data_dir, trained_run,
+                                                   tmp_path):
+    _, out = trained_run
+    ds = load_spectra(data_dir / "data" / "spectra.csv")
+    X = ds.intensities.copy()
+    X[7] *= 1e3
+    save_spectra(SpectraSet(ds.grid, X, ds.sample_ids), tmp_path / "far.csv")
+    preds = {}
+    for name, spectra in (("clean", data_dir / "data" / "spectra.csv"),
+                          ("far", tmp_path / "far.csv")):
+        pcfg = write_json(tmp_path / f"{name}.json", {
+            "models": str(out / "models"), "spectra": str(spectra)})
+        path = tmp_path / f"{name}.csv"
+        assert entry(["predict", "--config", pcfg, "--out", str(path)]) == 0
+        preds[name] = path.read_text().splitlines()
+    assert preds["far"][:8] + preds["far"][9:] == \
+        preds["clean"][:8] + preds["clean"][9:]
+    assert preds["far"][8] != preds["clean"][8]
+    assert np.isfinite(float(preds["far"][8].split(",")[1]))
 
 
 class TestPreprocessAndModels:

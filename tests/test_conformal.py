@@ -8,6 +8,9 @@ combination; after training, the head must predict well while the
 designated latent's Jacobian row decorrelates from the others.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -267,3 +270,21 @@ def test_dimension_mismatches_raise(trained):
         encoder_jacobian(model, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         yae_fit(np.zeros((5, 3)), np.zeros(4), YShapedSpec(n_latent=2))
+
+
+def test_history_equals_the_values_recorded_before_the_loss_only_pass():
+    # tests/data/yae_history.json was written by yae_fit when each
+    # epoch's history still came from the full loss-and-gradient pass
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "yae_history.json")) as fh:
+        want = json.load(fh)
+    rng = np.random.default_rng(7)
+    Phi = rng.uniform(-1, 1, size=(40, 4))
+    sizes = 300.0 + 40.0 * np.tanh(Phi[:, 0] - 0.5 * Phi[:, 2])
+    for name, kw in (("adam_orth", dict(w_orth=0.5)),
+                     ("sgd_no_orth", dict(w_orth=0.0, optimizer="sgd"))):
+        spec = YShapedSpec(n_latent=2, encoder_hidden=(6,),
+                           decoder_hidden=(6,), head_hidden=(4,),
+                           learning_rate=1e-2, epochs=6, batch_size=8,
+                           seed=3, **kw)
+        assert yae_fit(Phi, sizes, spec)[1] == want[name], name

@@ -4,6 +4,8 @@ ranking and geometric harmonics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from spectramap.dmaps import (
     DmapModel,
@@ -18,6 +20,7 @@ from spectramap.dmaps import (
     markov_normalize,
     nystrom_extend,
     pairwise_sq_distances,
+    _kernel_rows,
 )
 from spectramap.errors import NumericError
 
@@ -234,3 +237,76 @@ class TestGeometricHarmonics:
         with pytest.raises(ValueError):
             gh_fit(t, np.zeros(30), delta=1.5)
 
+
+def spectra_like(n, seed, d=476):
+    """Rows on a large common offset, like raw Raman intensities."""
+    return 0.3 * np.random.default_rng(seed).normal(size=(n, d)) + 5.0
+
+
+def kernel_rows_oracle(model, X_new):
+    """Markov kernel rows from cdist, without the row-minimum shift."""
+    W = np.exp(-cdist(X_new, model.points, "sqeuclidean")
+               / model.epsilon ** 2)
+    if model.density_normalize:
+        W = W / np.outer(W.sum(axis=1), model.p_row_sums)
+    return W / W.sum(axis=1)[:, None]
+
+
+class TestGemmKernel:
+    """The GEMM distances and shifted kernel rows against cdist."""
+
+    # GEMM cancellation on centred rows: a few ulps of the largest D2
+    D2_RTOL = 1e-13
+
+    def test_pairwise_matches_cdist_on_offset_spectra(self):
+        X = spectra_like(300, seed=0)
+        D2 = pairwise_sq_distances(X)
+        ref = cdist(X, X, "sqeuclidean")
+        assert np.max(np.abs(D2 - ref)) <= self.D2_RTOL * ref.max()
+        assert np.all(np.diag(D2) == 0.0)
+        assert D2.min() >= 0.0
+
+    def test_kernel_rows_match_cdist(self):
+        X = spectra_like(400, seed=1)
+        model = fit_dmaps(X[:300], KernelParams(), n_eig=6)
+        K_ref = kernel_rows_oracle(model, X[300:])
+        # a D2 error of 1e-13 * max D2 moves exp(-D2 / eps^2) by that
+        # times max D2 / eps^2, which is below 10 on these rows
+        K = _kernel_rows(model, X[300:])
+        assert np.max(np.abs(K - K_ref)) <= 1e-11 * K_ref.max()
+        phi_ref = K_ref @ model.eigenvectors / model.eigenvalues
+        phi = nystrom_extend(model, X[300:])
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-11 * np.abs(phi_ref).max()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_identical_rows_are_still_refused(self, seed):
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=476) * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
+        X = np.tile(row, (int(rng.integers(3, 30)), 1))
+        assert not pairwise_sq_distances(X).any()
+        with pytest.raises(ValueError, match="all pairwise distances are zero"):
+            fit_dmaps(X, KernelParams(), n_eig=2)
+
+
+@pytest.fixture(scope="module")
+def spectra_model():
+    X = spectra_like(360, seed=4, d=60)
+    return fit_dmaps(X[:240], KernelParams(), n_eig=6), X[240:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_rows=st.integers(1, 600), pick=st.integers(0, 10 ** 6),
+       power=st.sampled_from([-3, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_scaling_one_row_leaves_the_others_bit_identical(
+        spectra_model, n_rows, pick, power, seed):
+    model, pool = spectra_model
+    rows = np.random.default_rng(seed).integers(0, len(pool), n_rows)
+    batch = pool[rows]
+    i = pick % n_rows
+    scaled = batch.copy()
+    scaled[i] *= 10.0 ** power
+    clean = nystrom_extend(model, batch)
+    got = nystrom_extend(model, scaled)
+    keep = np.arange(n_rows) != i
+    assert np.array_equal(got[keep], clean[keep])
+    assert np.all(np.isfinite(got[i]))
