@@ -93,8 +93,9 @@ def _cmd_dmap_fit(args) -> int:
     if not isinstance(cfg.get("spectra"), str):
         raise ConfigError("dmap fit config needs a 'spectra' path")
     dataset = load_spectra(cfg["spectra"])
-    dcfg = dict(cfg.get("dmaps", {}))
+    dcfg = cfg.get("dmaps", {})
     check_keys(dcfg, ("epsilon", "density_normalize", "n_eig"), "dmaps")
+    dcfg = dict(dcfg)
     n_eig = int(dcfg.pop("n_eig", min(10, dataset.n_samples - 1)))
     params = spec_from(KernelParams, dcfg, "dmaps")
     model = fit_dmaps(dataset.intensities, params, n_eig=n_eig)

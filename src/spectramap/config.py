@@ -15,6 +15,7 @@ def require(cond: bool, msg: str) -> None:
 
 
 def check_keys(cfg: dict, allowed, where: str) -> None:
+    require(isinstance(cfg, dict), f"{where} must be a JSON object")
     unknown = sorted(set(cfg) - set(allowed))
     require(not unknown, f"unknown keys in {where}: {unknown}")
 

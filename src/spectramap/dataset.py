@@ -171,7 +171,11 @@ def load_sizes(path) -> dict:
             sid = row[0].strip()
             if sid in table:
                 raise ValueError(f"{path}: duplicate sample id {sid!r}")
-            table[sid] = float(row[1])
+            try:
+                table[sid] = float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num} is not "
+                                 f"'sample_id,diameter_nm': {row!r}") from None
     return table
 
 

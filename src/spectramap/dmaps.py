@@ -29,9 +29,9 @@ where the kernel row of x is normalized with the training conventions
 left).  Eigenpairs with lambda below NYSTROM_EIG_FLOOR are not
 extendable and are refused.
 
-Every kernel, the training one and the Nystrom rows alike, is built on
-one distance primitive.  Both sides are centred on the training column
-mean c, and
+Every kernel (training, Nystrom rows and the coordinate-selection
+weights) is built on one distance primitive.  Both sides are centred on
+the training column mean c, and
 
     D2(a, b) = |a - c|^2 + |b - c|^2 - 2 (a - c).(b - c),  clipped at 0,
 
@@ -72,13 +72,14 @@ from functools import cached_property
 from typing import Optional, Tuple, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericError
 
 NYSTROM_EIG_FLOOR = 1e-6
 # rows of new points per Nystrom kernel block
 NYSTROM_CHUNK_ROWS = 256
+LLR_BANDWIDTH_SCALE = 1.0 / 3.0  # see local_linear_residual
+LLR_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -327,17 +328,20 @@ def nystrom_extend(model: DmapModel, X_new: np.ndarray,
     return out
 
 
-def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5,
-                          bandwidth_scale: float = 1.0 / 3.0,
-                          ridge: float = 1e-8) -> EigenSelection:
+def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5) -> EigenSelection:
     """Rank eigenvector columns by how novel they are.
 
     Column k is predicted from columns 0..k-1 by leave-one-out locally
-    weighted linear regression (Gaussian weights over distances in the
-    predictor subspace, bandwidth = bandwidth_scale * the largest
-    pairwise distance, ridge-stabilized normal equations).  The residual
+    weighted linear regression, with weights W = gaussian_kernel(D2, h)
+    over the pairwise_sq_distances D2 of the predictor columns and h =
+    LLR_BANDWIDTH_SCALE * their diameter.  W_ii = 0 leaves sample i out
+    of its own fit, exactly as deleting row i would.  With A = [1, the
+    predictors] and target t, the n local systems
+    (A^T diag(W_i) A + LLR_RIDGE I) theta_i = A^T diag(W_i) t come from
+    two products, W @ (A_j A_j^T) and W @ (A_j t_j), and one batched
+    solve.  The residual
 
-        r_k = sqrt( sum_i (phi_k_i - phihat_k_i)^2 / sum_i phi_k_i^2 )
+        r_k = sqrt( sum_i (t_i - A_i theta_i)^2 / sum_i t_i^2 )
 
     is near zero when phi_k is a function (harmonic) of earlier columns
     and near one when it carries a new direction.  Column 0 has no
@@ -353,25 +357,20 @@ def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5,
     res = np.empty(m)
     res[0] = 1.0
     for k in range(1, m):
-        P = Phi[:, :k]
-        t = Phi[:, k]
-        dist = cdist(P, P)
-        h = bandwidth_scale * dist.max()
+        D2 = pairwise_sq_distances(Phi[:, :k])
+        h = LLR_BANDWIDTH_SCALE * np.sqrt(D2.max())
         if h <= 0:
             raise ValueError("degenerate predictor coordinates")
-        Wgt = np.exp(-((dist / h) ** 2))
-        A = np.column_stack([np.ones(n), P])
-        pred = np.empty(n)
-        eye = np.eye(k + 1) * ridge
-        for i in range(n):
-            w = np.delete(Wgt[i], i)
-            Ai = np.delete(A, i, axis=0)
-            ti = np.delete(t, i)
-            Aw = Ai * w[:, None]
-            theta = np.linalg.solve(Ai.T @ Aw + eye, Aw.T @ ti)
-            pred[i] = A[i] @ theta
+        W = gaussian_kernel(D2, h)
+        np.fill_diagonal(W, 0.0)
+        A = np.column_stack([np.ones(n), Phi[:, :k]])
+        t = Phi[:, k]
+        AA = (A[:, :, None] * A[:, None, :]).reshape(n, -1)
+        M = (W @ AA).reshape(n, k + 1, k + 1) + LLR_RIDGE * np.eye(k + 1)
+        theta = np.linalg.solve(M, (W @ (A * t[:, None]))[:, :, None])
+        err = t - np.einsum("ij,ij->i", A, theta[:, :, 0])
         denom = float(np.sum(t * t))
-        res[k] = float(np.sqrt(np.sum((t - pred) ** 2) / denom)) if denom > 0 else 0.0
+        res[k] = float(np.sqrt(np.sum(err ** 2) / denom)) if denom > 0 else 0.0
     keep = tuple(int(i) for i in np.nonzero(res > threshold)[0])
     return EigenSelection(indices=keep, residuals=res)
 

@@ -118,7 +118,11 @@ def save_model(path, model) -> None:
 
 def load_model(path):
     """Load any model previously written by save_model."""
-    with open(os.path.join(path, "model.json"), encoding="utf-8") as fh:
+    doc_path = os.path.join(path, "model.json")
+    if not os.path.isfile(doc_path):
+        raise ValueError(f"no model.json in {path}; "
+                         f"retrain to write format {FORMAT_VERSION}")
+    with open(doc_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:

@@ -149,6 +149,36 @@ def test_predict_scores_a_batch_with_a_far_off_row(data_dir, trained_run,
     assert np.isfinite(float(preds["far"][8].split(",")[1]))
 
 
+def test_a_short_sizes_row_is_a_data_error(data_dir, tmp_path, capsys):
+    sizes = data_dir / "data" / "sizes.csv"
+    lines = sizes.read_text().splitlines()
+    short = tmp_path / "short.csv"
+    # line 4 keeps its sample id and loses its diameter
+    lines[3] = lines[3].split(",")[0]
+    short.write_text("\n".join(lines) + "\n")
+    ecfg = write_json(tmp_path / "e.json", {
+        "predictions": str(sizes), "sizes": str(short)})
+    capsys.readouterr()
+    assert entry(["evaluate", "--config", ecfg,
+                  "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(short) in err and "line 4" in err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("dmaps", 5), ("regressor", 3), ("pretreatment", "snv")])
+def test_a_config_section_must_be_an_object(data_dir, tmp_path, capsys,
+                                            section, value):
+    cfg = write_json(tmp_path / "run.json", {
+        "data": {"spectra": str(data_dir / "data" / "spectra.csv"),
+                 "sizes": str(data_dir / "data" / "sizes.csv")},
+        section: value})
+    capsys.readouterr()
+    assert entry(["train", "direct_dmaps_nn", "--config", cfg,
+                  "--out", str(tmp_path / "x")]) == 2
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
 class TestPreprocessAndModels:
     def test_preprocess(self, data_dir, tmp_path):
         cfg = write_json(tmp_path / "pre.json", {

@@ -310,3 +310,52 @@ def test_scaling_one_row_leaves_the_others_bit_identical(
     keep = np.arange(n_rows) != i
     assert np.array_equal(got[keep], clean[keep])
     assert np.all(np.isfinite(got[i]))
+
+
+def llr_oracle(Phi):
+    """Leave-one-out local linear residuals one sample at a time: cdist
+    distances, the sample's row deleted from the weights, the design and
+    the target, and one solve per sample and column."""
+    n, m = Phi.shape
+    res = np.empty(m)
+    res[0] = 1.0
+    for k in range(1, m):
+        P = Phi[:, :k]
+        t = Phi[:, k]
+        dist = cdist(P, P)
+        h = (1.0 / 3.0) * dist.max()
+        Wgt = np.exp(-((dist / h) ** 2))
+        A = np.column_stack([np.ones(n), P])
+        pred = np.empty(n)
+        eye = np.eye(k + 1) * 1e-8
+        for i in range(n):
+            w = np.delete(Wgt[i], i)
+            Ai = np.delete(A, i, axis=0)
+            ti = np.delete(t, i)
+            Aw = Ai * w[:, None]
+            theta = np.linalg.solve(Ai.T @ Aw + eye, Aw.T @ ti)
+            pred[i] = A[i] @ theta
+        res[k] = np.sqrt(np.sum((t - pred) ** 2) / np.sum(t * t))
+    return tuple(int(i) for i in np.nonzero(res > 0.5)[0]), res
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 6), data=st.data())
+def test_batched_llr_matches_the_per_sample_oracle(m, data):
+    # columns on scales 0.1-10, some of them near-functions of column 0
+    n = data.draw(st.integers(10 * m, 120), label="n")
+    scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m,
+                                max_size=m), label="scales")
+    harmonic = data.draw(st.lists(st.booleans(), min_size=m, max_size=m),
+                         label="harmonic")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    Phi = rng.normal(size=(n, m))
+    for j in range(1, m):
+        if harmonic[j]:
+            Phi[:, j] = np.cos(j * Phi[:, 0]) + 1e-3 * Phi[:, j]
+    Phi *= np.array(scales)
+    keep, res = llr_oracle(Phi)
+    sel = local_linear_residual(Phi)
+    assert np.allclose(sel.residuals, res, rtol=0, atol=1e-12)
+    assert sel.indices == keep

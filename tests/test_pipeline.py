@@ -161,3 +161,18 @@ def test_only_the_training_grid_predicts(pls_models, data):
     else:
         with pytest.raises(ConfigError):
             pipeline_predict(pipe, spectra)
+
+
+def test_cli_predict_refuses_a_stage_without_model_json(tmp_path, capsys):
+    # a format-1 ihm_pls run kept its peak model outside the stage
+    # directory, so the stage has no model.json to read a version from
+    _, models = train("ihm_pls", tmp_path)
+    (models / "hard_model" / "model.json").unlink()
+    ds, _ = synth_generate(SynthSpec(**SYNTH))
+    save_spectra(ds, tmp_path / "x.csv")
+    pcfg = write_json(tmp_path / "p.json", {
+        "models": str(models), "spectra": str(tmp_path / "x.csv")})
+    capsys.readouterr()
+    assert entry(["predict", "--config", pcfg,
+                  "--out", str(tmp_path / "preds.csv")]) == 2
+    assert "format 2" in capsys.readouterr().err
