@@ -105,8 +105,9 @@ def format_float(x: float) -> str:
 def load_spectra(path, sizes_path=None) -> SpectraSet:
     """Load a one-column-per-sample spectra CSV, optionally attaching sizes.
 
-    Raises ValueError on a malformed header, ragged rows, a non-increasing
-    grid, duplicate ids, or sizes that do not cover every sample.
+    Raises ValueError on a malformed header, ragged rows, a cell that is
+    not a number, a non-increasing grid, duplicate ids, or sizes that do
+    not cover every sample.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -124,9 +125,12 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
                 continue
             if len(row) != len(ids) + 1:
                 raise ValueError(f"{path}: row width {len(row)} does not match header")
-            grid_vals.append(float(row[0]))
-            for j, cell in enumerate(row[1:]):
-                cols[j].append(float(cell))
+            try:
+                grid_vals.append(float(row[0]))
+                for j, cell in enumerate(row[1:]):
+                    cols[j].append(float(cell))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     grid = WavenumberGrid(np.array(grid_vals))
     X = np.array(cols, dtype=float)  # (n_samples, n_wavenumbers)
     sizes = None

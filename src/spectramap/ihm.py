@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -313,21 +313,6 @@ def ihm_features(stage: IhmFeatures, X: np.ndarray):
         unconverged += 0 if result.converged else 1
         sse_total += result.sse
     return np.array(rows), unconverged, sse_total / len(X)
-
-
-def seed_peaks(grid: np.ndarray, intensity: np.ndarray, n_peaks: int,
-               hwhm: float = 8.0, shape: float = 0.5) -> List[Peak]:
-    """Initial peak list from the n_peaks tallest strict local maxima."""
-    grid = np.asarray(grid, dtype=float)
-    y = np.asarray(intensity, dtype=float)
-    idx = [i for i in range(1, y.size - 1)
-           if y[i] > y[i - 1] and y[i] > y[i + 1]]
-    if len(idx) < n_peaks:
-        raise ValueError(f"found only {len(idx)} local maxima")
-    idx.sort(key=lambda i: -y[i])
-    chosen = sorted(idx[:n_peaks])
-    return [Peak(float(grid[i]), float(max(y[i], 0.0)), shape, hwhm)
-            for i in chosen]
 
 
 def hard_model_to_dict(model: HardModel) -> dict:

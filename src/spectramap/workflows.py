@@ -38,13 +38,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .altdmaps import AltDmapModel, alt_coordinates, fit_altdmaps
+from .altdmaps import alt_coordinates, fit_altdmaps
 from .conformal import (YShapedModel, YShapedSpec, decode, encode,
                         orthogonality_score, predict_size, yae_fit)
 from .config import check_keys, pretreatment_spec, require, spec_from
 from .dataset import SpectraSet, load_spectra, train_test_split
-from .dmaps import (EigenSelection, Embed, GhModel, KernelParams, fit_dmaps,
-                    gh_fit, gh_predict, local_linear_residual, nystrom_extend)
+from .dmaps import (Embed, GhModel, KernelParams, fit_dmaps, gh_fit,
+                    gh_predict, local_linear_residual, nystrom_extend)
 from .errors import ConfigError, NumericError
 from .gbt import GbtModel, GbtSpec, gbt_fit, gbt_predict
 from .ihm import IhmFeatures, ihm_features, load_hard_model
@@ -159,26 +159,26 @@ def _apply_stage(stage, X: np.ndarray) -> np.ndarray:
 
 
 class _Chain:
-    """Fitted models to persist by name, the names of the prediction
-    stages in order, and both pretreated splits folded through those
-    stages; the report's predictions are the final fold."""
+    """The prediction stages in order, by name, and both pretreated
+    splits folded through them; the report's predictions are the final
+    fold.  `models/` holds exactly these stages."""
 
-    def __init__(self, ctx: RunContext, **offline):
-        self.parts: Dict[str, object] = dict(offline)
-        self.stages = []
+    def __init__(self, ctx: RunContext):
+        self.stages: Dict[str, object] = {}
         self.train = ctx.train.intensities
         self.test = ctx.test.intensities
 
     def add(self, name: str, stage, outputs=None) -> None:
         """Append a stage; `outputs` are its (train, test) rows when the
         caller already applied it."""
-        self.parts[name] = stage
-        self.stages.append(name)
+        self.stages[name] = stage
         self.train, self.test = outputs or (_apply_stage(stage, self.train),
                                             _apply_stage(stage, self.test))
 
 
-def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, EigenSelection]:
+def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, np.ndarray]:
+    """The embedding stage and the LLR residuals of its columns (ones
+    when the coordinates are not chosen by LLR)."""
     cfg = config.get("dmaps", {})
     check_keys(cfg, ("epsilon", "density_normalize", "n_eig", "coords",
                      "llr_threshold"), "dmaps")
@@ -194,32 +194,28 @@ def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, EigenSelection]:
     coords = cfg.get("coords", "llr")
     if coords == "all":
         indices = tuple(range(1, model.n_eig))
-        selection = EigenSelection(indices=indices,
-                                   residuals=np.ones(model.n_eig - 1))
     elif coords == "llr":
         require(model.n_eig >= 3, "llr selection needs n_eig >= 3")
         llr = local_linear_residual(model.eigenvectors[:, 1:],
                                     threshold=float(cfg.get("llr_threshold", 0.5)))
-        indices = tuple(i + 1 for i in llr.indices)
-        selection = EigenSelection(indices=indices, residuals=llr.residuals)
+        return (Embed(dmap=model, indices=tuple(i + 1 for i in llr.indices)),
+                llr.residuals)
     elif isinstance(coords, list):
         require(len(coords) > 0, "dmaps.coords list is empty")
         indices = tuple(int(i) for i in coords)
         require(len(set(indices)) == len(indices), "duplicate dmaps.coords")
         require(all(1 <= i < model.n_eig for i in indices),
                 "dmaps.coords indices must lie in [1, n_eig)")
-        selection = EigenSelection(indices=indices,
-                                   residuals=np.ones(len(indices)))
     else:
         raise ConfigError(f"dmaps.coords must be 'llr', 'all' or a list, "
                           f"got {coords!r}")
-    return Embed(dmap=model, indices=indices), selection
+    return Embed(dmap=model, indices=indices), np.ones(len(indices))
 
 
-def _embedded_chain(ctx: RunContext, embed: Embed, **offline):
+def _embedded_chain(ctx: RunContext, embed: Embed):
     """A chain opened by the embedding stage, and diagnostics comparing
     the training back-extension with the exact eigenvectors."""
-    chain = _Chain(ctx, **offline)
+    chain = _Chain(ctx)
     chain.add("dmap", embed)
     mse = float(np.mean((chain.train - embed.phi_train) ** 2))
     return chain, {"dmap_epsilon": embed.dmap.epsilon,
@@ -240,16 +236,16 @@ def _head_fit(kind: str, cfg: dict, X: np.ndarray, y: np.ndarray, seed: int):
     raise ConfigError(f"unknown regressor kind {kind!r}")
 
 
-def _persist(config: dict, ctx: RunContext, parts: Dict[str, object],
-             stages) -> None:
-    """Save fitted models under out_dir/models plus a manifest naming the
-    prediction stages in order; no-op without an out_dir."""
+def _persist(config: dict, ctx: RunContext,
+             stages: Dict[str, object]) -> None:
+    """Save one directory per prediction stage under out_dir/models plus
+    a manifest naming those stages in order; no-op without an out_dir."""
     out_dir = config.get("out_dir")
     if not out_dir:
         return
     base = os.path.join(os.fspath(out_dir), "models")
-    for name, obj in parts.items():
-        save_model(os.path.join(base, name), obj)
+    for name, stage in stages.items():
+        save_model(os.path.join(base, name), stage)
     manifest = {"workflow": config["workflow"],
                 "config_hash": config_hash(config),
                 "pretreatment": config.get("pretreatment", {}),
@@ -264,7 +260,7 @@ def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
             diagnostics: dict, loss_history=None) -> RunReport:
     """Persist the chain's models and report its predictions on both
     splits."""
-    _persist(config, ctx, chain.parts, chain.stages)
+    _persist(config, ctx, chain.stages)
     diagnostics["intensity_clusters"] = _cluster_diag(ctx)
     y_tr, y_te = ctx.train.sizes, ctx.test.sizes
     parity = tuple(
@@ -285,78 +281,45 @@ def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
 def _run_direct(config: dict, ctx: RunContext) -> RunReport:
     """Size straight from the spectral embedding coordinates."""
     kind = {"direct_dmaps_nn": "nn", "direct_dmaps_gbt": "gbt"}[config["workflow"]]
-    embed, selection = _embed(config, ctx)
-    chain, diagnostics = _embedded_chain(ctx, embed, dmap_selection=selection)
-    diagnostics["llr_residuals"] = selection.residuals
+    embed, residuals = _embed(config, ctx)
+    chain, diagnostics = _embedded_chain(ctx, embed)
+    diagnostics["llr_residuals"] = residuals
     chain.add("size_regressor",
               _head_fit(kind, config.get("regressor", {}), embed.phi_train,
                         ctx.train.sizes, _top_seed(config)))
     return _finish(config, ctx, chain, len(embed.indices), diagnostics)
 
 
-@dataclass(frozen=True)
-class AltOfflineModels:
-    """Outcome of the two offline steps."""
-
-    embed: Embed
-    dmap_selection: EigenSelection
-    alt: AltDmapModel
-    alt_selection: EigenSelection
-
-    def parts(self) -> Dict[str, object]:
-        return {"dmap": self.embed, "dmap_selection": self.dmap_selection,
-                "altdmap": self.alt, "alt_selection": self.alt_selection}
-
-
-def _alt_offline(config: dict, ctx: RunContext) -> AltOfflineModels:
-    embed, selection = _embed(config, ctx)
+def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
+    """Offline, find the variable common to the spectral embedding and
+    the sizes; online, Nystrom coordinates for new spectra, regress the
+    common coordinates from them, then the size from the common ones."""
+    embed, _ = _embed(config, ctx)
     cfg = config.get("altdmaps", {})
     check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
                      "density_normalize", "llr_threshold", "gh_delta",
                      "alt_regressor", "size_regressor",
                      "alt_regressor_config", "size_regressor_config"),
                "altdmaps")
-    n_train = ctx.train.n_samples
-    n_eig = int(cfg.get("n_eig", min(10, n_train - 1)))
+    n_eig = int(cfg.get("n_eig", min(10, ctx.train.n_samples - 1)))
     dn = bool(cfg.get("density_normalize", True))
     p1 = KernelParams(epsilon=cfg.get("epsilon1"), density_normalize=dn)
     p2 = KernelParams(epsilon=cfg.get("epsilon2"), density_normalize=dn)
-    sizes_col = np.asarray(ctx.train.sizes, dtype=float)[:, None]
-    alt = fit_altdmaps(embed.phi_train, sizes_col, p1, p2, n_eig=n_eig)
+    phi = embed.phi_train
+    alt = fit_altdmaps(phi, np.asarray(ctx.train.sizes, dtype=float)[:, None],
+                       p1, p2, n_eig=n_eig)
     require(alt.eigenvalues.size >= 3, "altdmaps.n_eig must be >= 3")
     llr = local_linear_residual(alt.eigenvectors[:, 1:],
                                 threshold=float(cfg.get("llr_threshold", 0.5)))
-    alt_selection = EigenSelection(indices=tuple(i + 1 for i in llr.indices),
-                                   residuals=llr.residuals)
-    return AltOfflineModels(embed=embed, dmap_selection=selection, alt=alt,
-                            alt_selection=alt_selection)
-
-
-def workflow_altdmaps_offline(config: dict) -> AltOfflineModels:
-    """Offline steps alone: embed the training spectra, find the variable
-    common to that embedding and the sizes, persist the four models."""
-    ctx = _prepare(config)
-    models = _alt_offline(config, ctx)
-    _persist(config, ctx, models.parts(), ())
-    return models
-
-
-def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
-    """Offline steps, then the online chain: Nystrom coordinates for new
-    spectra, regress the common coordinates from them, then the size
-    from the common ones."""
-    models = _alt_offline(config, ctx)
-    cfg = config.get("altdmaps", {})
     seed = _top_seed(config)
-    phi = models.embed.phi_train
-    chain, diagnostics = _embedded_chain(ctx, models.embed, **models.parts())
+    chain, diagnostics = _embedded_chain(ctx, embed)
 
-    n_alt_max = models.alt.eigenvalues.size - 1
+    n_alt_max = alt.eigenvalues.size - 1
     n_alt = int(cfg.get("n_alt_coords", min(6, n_alt_max)))
     require(1 <= n_alt <= n_alt_max,
             f"altdmaps.n_alt_coords must lie in [1, {n_alt_max}]")
     alt_idx = tuple(range(1, n_alt + 1))
-    psi_tr = alt_coordinates(models.alt, alt_idx)
+    psi_tr = alt_coordinates(alt, alt_idx)
 
     alt_kind = cfg.get("alt_regressor", "gh")
     if alt_kind == "gh":
@@ -381,9 +344,9 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
     y_tr = ctx.train.sizes
     diagnostics.update({
         "alt_coordinates_used": list(alt_idx),
-        "alt_selected_indices": list(models.alt_selection.indices),
-        "alt_llr_residuals": models.alt_selection.residuals,
-        "alt_eigenvalues": models.alt.eigenvalues,
+        "alt_selected_indices": [i + 1 for i in llr.indices],
+        "alt_llr_residuals": llr.residuals,
+        "alt_eigenvalues": alt.eigenvalues,
         "altdmap_prediction_mse": float(np.mean((psi_hat_tr - psi_tr) ** 2)),
         "size_r2_actual_alt_train":
             compute_metrics(_apply_stage(f_size, psi_tr), y_tr).r2,
@@ -395,9 +358,9 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
 def _run_yshaped(config: dict, ctx: RunContext) -> RunReport:
     """Embedding, then the conformal autoencoder whose first latent
     coordinate carries the size."""
-    embed, selection = _embed(config, ctx)
-    chain, diagnostics = _embedded_chain(ctx, embed, dmap_selection=selection)
-    diagnostics["llr_residuals"] = selection.residuals
+    embed, residuals = _embed(config, ctx)
+    chain, diagnostics = _embedded_chain(ctx, embed)
+    diagnostics["llr_residuals"] = residuals
     spec = spec_from(YShapedSpec, config.get("yshaped", {}), "yshaped",
                      seed=_top_seed(config))
     phi = embed.phi_train

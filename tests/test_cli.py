@@ -165,6 +165,24 @@ def test_a_short_sizes_row_is_a_data_error(data_dir, tmp_path, capsys):
     assert str(short) in err and "line 4" in err
 
 
+def test_a_spectra_cell_that_is_not_a_number_names_its_line(data_dir, tmp_path,
+                                                           capsys):
+    lines = (data_dir / "data" / "spectra.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    # line 5, second sample
+    cells = lines[4].split(",")
+    cells[2] = "abc"
+    lines[4] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = write_json(tmp_path / "fit.json", {"spectra": str(bad),
+                                             "dmaps": {"n_eig": 6}})
+    capsys.readouterr()
+    assert entry(["dmap", "fit", "--config", cfg,
+                  "--out", str(tmp_path / "dmap")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 5" in err and "'abc'" in err
+
+
 @pytest.mark.parametrize("section, value", [
     ("dmaps", 5), ("regressor", 3), ("pretreatment", "snv")])
 def test_a_config_section_must_be_an_object(data_dir, tmp_path, capsys,
@@ -279,6 +297,19 @@ class TestConsoleInvocation:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "20 spectra" in proc.stdout
+
+    def test_loading_a_run_imports_no_scipy(self, trained_run):
+        # scipy is a test-only dependency; importing it would add about
+        # 0.3 s to every command
+        _, out = trained_run
+        code = ("import sys\n"
+                "import spectramap.cli\n"
+                "from spectramap.workflows import load_pipeline\n"
+                f"load_pipeline({str(out / 'models')!r})\n"
+                "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_installed_script(self, tmp_path):
         exe = shutil.which("spectramap")

@@ -15,8 +15,7 @@ from spectramap.ihm import (ComponentModel, HardModel, Peak,
                             extract_parameters, fit_hard_model,
                             hard_model_eval, hard_model_from_dict,
                             hard_model_to_dict, load_hard_model,
-                            n_free_parameters, rebuild_model, save_hard_model,
-                            seed_peaks)
+                            n_free_parameters, rebuild_model, save_hard_model)
 
 GRID = np.arange(850.0, 1801.0, 2.0)
 
@@ -256,19 +255,6 @@ def test_fit_validates_inputs():
         fit_hard_model(outside, GRID, y)
     with pytest.raises(ValueError):
         fit_hard_model(model, GRID, y, mode="low")
-
-
-def test_seed_peaks_finds_local_maxima():
-    model = HardModel(
-        (ComponentModel("a", (Peak(950.0, 2.0, 0.5, 10.0),
-                              Peak(1300.0, 1.0, 0.5, 14.0),
-                              Peak(1650.0, 3.0, 0.5, 8.0))),),
-        (1.0,), (0.0, 0.0))
-    y = hard_model_eval(model, GRID)
-    seeded = seed_peaks(GRID, y, 3)
-    assert [p.position for p in seeded] == [950.0, 1300.0, 1650.0]
-    with pytest.raises(ValueError):
-        seed_peaks(GRID, y, 50)
 
 
 def test_json_round_trip(tmp_path):
