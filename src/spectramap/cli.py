@@ -28,7 +28,8 @@ import numpy as np
 
 from .altdmaps import fit_altdmaps
 from .config import check_keys, pretreatment_spec, spec_from
-from .dataset import format_float, load_sizes, load_spectra, save_spectra
+from .dataset import (format_float, load_sizes, load_spectra, save_spectra,
+                      write_json)
 from .dmaps import DmapModel, Embed, KernelParams, fit_dmaps, nystrom_extend
 from .errors import ConfigError, NumericError
 from .metrics import compute_metrics
@@ -51,12 +52,6 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
@@ -66,7 +61,7 @@ def _cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_spectra(dataset, os.path.join(args.out, "spectra.csv"),
                  os.path.join(args.out, "sizes.csv"))
-    _write_json(os.path.join(args.out, "sidecar.json"), jsonable(sidecar))
+    write_json(os.path.join(args.out, "sidecar.json"), jsonable(sidecar))
     print(f"wrote {dataset.n_samples} spectra to {args.out}")
     return 0
 
@@ -143,12 +138,12 @@ def _cmd_alt_fit(args) -> int:
     acfg = cfg.get("altdmaps", {})
     check_keys(acfg, ("n_eig", "epsilon1", "epsilon2", "density_normalize"),
                "altdmaps")
-    dn = bool(acfg.get("density_normalize", True))
-    model = fit_altdmaps(
-        s1.intensities, s2.intensities,
-        KernelParams(epsilon=acfg.get("epsilon1"), density_normalize=dn),
-        KernelParams(epsilon=acfg.get("epsilon2"), density_normalize=dn),
-        n_eig=int(acfg.get("n_eig", min(10, s1.n_samples - 1))))
+    p1, p2 = (spec_from(KernelParams,
+                        {"epsilon": acfg.get(key),
+                         "density_normalize": acfg.get("density_normalize", True)},
+                        "altdmaps") for key in ("epsilon1", "epsilon2"))
+    n_eig = int(acfg.get("n_eig", min(10, s1.n_samples - 1)))
+    model = fit_altdmaps(s1.intensities, s2.intensities, p1, p2, n_eig=n_eig)
     save_model(args.out, model)
     print(f"saved alternating kernel model to {args.out}")
     return 0
@@ -210,7 +205,7 @@ def _cmd_evaluate(args) -> int:
                         [actual[i] for i in ids])
     doc = {"n_samples": len(ids), "r2": m.r2, "rmse_nm": m.rmse,
            "mape_pct": m.mape}
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(f"r2={m.r2:.4f} rmse={m.rmse:.3f} nm mape={m.mape:.3f}% "
           f"({len(ids)} samples)")
     return 0
@@ -234,35 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmark regressors and experiment workflows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, seed=False):
-        p = sub.add_parser(name, help=help_text)
+    def add(group, name, handler, help_text, seed=False):
+        p = group.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output file or directory")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
         p.set_defaults(handler=handler)
-        return p
 
-    add("synth", _cmd_synth, "generate a synthetic dataset", seed=True)
-    add("preprocess", _cmd_preprocess, "apply pretreatment to spectra")
+    add(sub, "synth", _cmd_synth, "generate a synthetic dataset", seed=True)
+    add(sub, "preprocess", _cmd_preprocess, "apply pretreatment to spectra")
 
     dmap = sub.add_parser("dmap", help="embedding model operations")
     dmap_sub = dmap.add_subparsers(dest="dmap_command", required=True)
-    for name, handler, help_text in (
-            ("fit", _cmd_dmap_fit, "fit an embedding on spectra"),
-            ("extend", _cmd_dmap_extend, "embed new spectra with a saved model")):
-        p = dmap_sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.set_defaults(handler=handler)
+    add(dmap_sub, "fit", _cmd_dmap_fit, "fit an embedding on spectra")
+    add(dmap_sub, "extend", _cmd_dmap_extend,
+        "embed new spectra with a saved model")
 
     alt = sub.add_parser("alt", help="alternating kernel operations")
     alt_sub = alt.add_subparsers(dest="alt_command", required=True)
-    p = alt_sub.add_parser("fit", help="fit the common-variable model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_alt_fit)
+    add(alt_sub, "fit", _cmd_alt_fit, "fit the common-variable model")
 
     train = sub.add_parser("train", help="run a workflow end to end")
     train.add_argument("workflow", choices=WORKFLOW_NAMES)
@@ -272,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run directory (defaults to config out_dir)")
     train.set_defaults(handler=_cmd_train)
 
-    add("predict", _cmd_predict, "predict sizes with persisted models")
-    add("evaluate", _cmd_evaluate, "score predictions against actual sizes")
-    add("report", _cmd_report, "re-emit run files from a report.json")
+    add(sub, "predict", _cmd_predict, "predict sizes with persisted models")
+    add(sub, "evaluate", _cmd_evaluate,
+        "score predictions against actual sizes")
+    add(sub, "report", _cmd_report, "re-emit run files from a report.json")
     return parser
 
 

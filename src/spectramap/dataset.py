@@ -1,4 +1,5 @@
-"""Spectra containers, CSV persistence and dataset splitting.
+"""Spectra containers, CSV persistence, canonical JSON files and dataset
+splitting.
 
 A spectra file is laid out one column per sample: the header row is
 ``wavenumber,<id1>,<id2>,...`` and every following row holds one grid
@@ -10,6 +11,7 @@ save/load round trip is bit-identical.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, List
 
@@ -100,6 +102,13 @@ class SpectraSet:
 def format_float(x: float) -> str:
     # repr round-trips float64 exactly
     return repr(float(x))
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as canonical JSON: indent 2, sorted keys, final newline."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_spectra(path, sizes_path=None) -> SpectraSet:

@@ -27,6 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .dataset import write_json
 from .errors import NumericError
 
 LN2 = float(np.log(2.0))
@@ -343,9 +344,7 @@ def hard_model_from_dict(data: dict) -> HardModel:
 
 
 def save_hard_model(path, model: HardModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hard_model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, hard_model_to_dict(model))
 
 
 def load_hard_model(path) -> HardModel:

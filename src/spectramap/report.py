@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import format_float
+from .dataset import format_float, write_json
 from .metrics import Metrics, compute_metrics, metrics_to_dict
 
 LOSS_COLUMNS = ("epoch", "recon", "pred", "orth", "total")
@@ -150,8 +150,7 @@ def emit_report(report: RunReport, out_dir) -> Dict[str, str]:
 
     doc = report_to_dict(report)
     paths["report.json"] = os.path.join(out_dir, "report.json")
-    _write_text(paths["report.json"],
-                json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(paths["report.json"], doc)
 
     metrics_rows = [
         [split, format_float(m.r2), format_float(m.rmse), format_float(m.mape)]

@@ -26,6 +26,7 @@ import numpy as np
 
 from .altdmaps import AltDmapModel
 from .conformal import YShapedModel, YShapedSpec
+from .dataset import write_json
 from .dmaps import DmapModel, EigenSelection, Embed, GhModel
 from .gbt import GbtModel, GbtSpec
 from .ihm import ComponentModel, HardModel, IhmFeatures, Peak
@@ -111,9 +112,7 @@ def save_model(path, model) -> None:
     os.makedirs(path, exist_ok=True)
     for name, arr in arrays.items():
         np.save(_array_file(path, name), arr)
-    with open(os.path.join(path, "model.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(path, "model.json"), doc)
 
 
 def load_model(path):

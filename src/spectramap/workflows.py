@@ -42,7 +42,7 @@ from .altdmaps import alt_coordinates, fit_altdmaps
 from .conformal import (YShapedModel, YShapedSpec, decode, encode,
                         orthogonality_score, predict_size, yae_fit)
 from .config import check_keys, pretreatment_spec, require, spec_from
-from .dataset import SpectraSet, load_spectra, train_test_split
+from .dataset import SpectraSet, load_spectra, train_test_split, write_json
 from .dmaps import (Embed, GhModel, KernelParams, fit_dmaps, gh_fit,
                     gh_predict, local_linear_residual, nystrom_extend)
 from .errors import ConfigError, NumericError
@@ -251,9 +251,7 @@ def _persist(config: dict, ctx: RunContext,
                 "pretreatment": config.get("pretreatment", {}),
                 "grid": ctx.train.grid.values.tolist(),
                 "stages": list(stages)}
-    with open(os.path.join(base, _MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(base, _MANIFEST_FILE), manifest)
 
 
 def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
@@ -302,9 +300,10 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
                      "alt_regressor_config", "size_regressor_config"),
                "altdmaps")
     n_eig = int(cfg.get("n_eig", min(10, ctx.train.n_samples - 1)))
-    dn = bool(cfg.get("density_normalize", True))
-    p1 = KernelParams(epsilon=cfg.get("epsilon1"), density_normalize=dn)
-    p2 = KernelParams(epsilon=cfg.get("epsilon2"), density_normalize=dn)
+    p1, p2 = (spec_from(KernelParams,
+                        {"epsilon": cfg.get(key),
+                         "density_normalize": cfg.get("density_normalize", True)},
+                        "altdmaps") for key in ("epsilon1", "epsilon2"))
     phi = embed.phi_train
     alt = fit_altdmaps(phi, np.asarray(ctx.train.sizes, dtype=float)[:, None],
                        p1, p2, n_eig=n_eig)

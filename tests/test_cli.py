@@ -197,6 +197,38 @@ def test_a_config_section_must_be_an_object(data_dir, tmp_path, capsys,
     assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, section, cfg", [
+    (["train", "altdmaps"], "altdmaps", {"altdmaps": {"epsilon1": "abc"}}),
+    (["train", "altdmaps"], "altdmaps",
+     {"altdmaps": {"density_normalize": "false"}}),
+    (["train", "direct_dmaps_nn"], "dmaps",
+     {"dmaps": {"density_normalize": "false"}}),
+    (["train", "direct_dmaps_nn"], "dmaps", {"dmaps": {"epsilon": True}}),
+    (["dmap", "fit"], "dmaps",
+     {"dmaps": {"n_eig": 6, "density_normalize": "false"}}),
+    (["alt", "fit"], "altdmaps", {"altdmaps": {"n_eig": 5, "epsilon2": "abc"}}),
+    (["alt", "fit"], "altdmaps",
+     {"altdmaps": {"n_eig": 5, "density_normalize": 0}}),
+], ids=["train-alt-eps", "train-alt-dn", "train-dmaps-dn", "train-dmaps-eps",
+        "dmap-fit-dn", "alt-fit-eps", "alt-fit-dn"])
+def test_kernel_settings_in_a_config_are_checked(data_dir, tmp_path, capsys,
+                                                 argv, section, cfg):
+    # an epsilon that is not a real number and a density_normalize that
+    # is not a bool are config errors, whichever command reads them
+    spectra = str(data_dir / "data" / "spectra.csv")
+    if argv[0] == "train":
+        cfg = dict(cfg, data={"spectra": spectra,
+                              "sizes": str(data_dir / "data" / "sizes.csv")})
+    elif argv[0] == "dmap":
+        cfg = dict(cfg, spectra=spectra)
+    else:
+        cfg = dict(cfg, sensor1=spectra, sensor2=spectra)
+    path = write_json(tmp_path / "c.json", cfg)
+    capsys.readouterr()
+    assert entry(argv + ["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+
+
 class TestPreprocessAndModels:
     def test_preprocess(self, data_dir, tmp_path):
         cfg = write_json(tmp_path / "pre.json", {

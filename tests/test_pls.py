@@ -3,13 +3,17 @@
 The structural facts being pinned down: the first weight vector is the
 normalized covariance direction X_c' y_c, scores of different components
 are orthogonal, a full set of components reproduces ordinary least
-squares, and a rank-deficient X supports exactly rank(X) components
-before the deflated block runs out of variance.
+squares, a rank-deficient X supports exactly rank(X) components
+before the deflated block runs out of variance, and the component
+search, which fits each fold once, scores every count exactly as
+refitting that count would.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectramap.dataset import kfold_indices
 from spectramap.errors import NumericError
 from spectramap.pls import pls_choose_components, pls_fit, pls_predict
 
@@ -31,6 +35,15 @@ def test_input_validation():
         pls_fit(X, np.zeros(10), 0)
     with pytest.raises(ValueError):
         pls_fit(X, np.zeros(10), 4)
+
+
+def test_a_2d_target_is_refused():
+    X = np.random.default_rng(0).normal(size=(10, 3))
+    for Y in (np.zeros((10, 1)), np.zeros((10, 2))):
+        with pytest.raises(ValueError, match="1-D"):
+            pls_fit(X, Y, 1)
+        with pytest.raises(ValueError, match="1-D"):
+            pls_choose_components(X, Y, 2, folds=3)
 
 
 def test_zero_variance_x_raises():
@@ -115,32 +128,57 @@ def test_mean_input_predicts_mean_target():
     assert pls_predict(model, X.mean(axis=0)) == pytest.approx(y.mean())
 
 
-def test_multitarget_block():
-    rng = np.random.default_rng(3)
-    T = rng.normal(size=(40, 2))
-    X = T @ rng.normal(size=(2, 5))
-    Y = T @ rng.normal(size=(2, 3))
-    model = pls_fit(X, Y, 2)
-    pred = pls_predict(model, X)
-    assert pred.shape == Y.shape
-    assert np.max(np.abs(pred - Y)) < 1e-8
-    G = model.x_scores.T @ model.x_scores
-    off = G - np.diag(np.diag(G))
-    assert np.max(np.abs(off)) <= 1e-8 * np.max(np.diag(G))
-
-
-def test_duplicate_target_columns_agree():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(30, 4))
-    y = rng.normal(size=30)
-    model = pls_fit(X, np.column_stack([y, y]), 2)
-    pred = pls_predict(model, X)
-    assert np.allclose(pred[:, 0], pred[:, 1], atol=1e-10)
-
-
 def test_single_row_prediction():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
     model = pls_fit(X, y, 2)
     assert pls_predict(model, X[7]) == pytest.approx(pls_predict(model, X)[7])
+
+
+def choose_oracle(X, y, k_max, folds, seed):
+    """The component search by refitting: every count k is fitted from
+    scratch in every fold, and a count that some fold cannot fit
+    (NumericError or ValueError) scores inf."""
+    splits = kfold_indices(X.shape[0], folds, seed)
+    cv_mse = np.full(k_max, np.inf)
+    for k in range(1, k_max + 1):
+        total, count = 0.0, 0
+        ok = True
+        for tr, val in splits:
+            try:
+                model = pls_fit(X[tr], y[tr], k)
+            except (NumericError, ValueError):
+                ok = False
+                break
+            pred = pls_predict(model, X[val])
+            total += float(np.sum((pred - y[val]) ** 2))
+            count += pred.size
+        if ok:
+            cv_mse[k - 1] = total / count
+    if not np.any(np.isfinite(cv_mse)):
+        raise NumericError("every candidate component count failed")
+    return 1 + int(np.argmin(cv_mse)), cv_mse
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 60), p=st.integers(1, 12), rank=st.integers(0, 12),
+       k_max=st.integers(1, 12), folds=st.integers(2, 6),
+       fortran=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_fit_per_fold_matches_refitting_every_count(n, p, rank, k_max,
+                                                        folds, fortran, seed):
+    # rank 0 draws full-rank X; otherwise X is a product of rank-r factors.
+    # Both PLS workflows pass column-major blocks.
+    rng = np.random.default_rng(seed)
+    if rank == 0:
+        X = rng.normal(size=(n, p))
+    else:
+        X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, p))
+    if fortran:
+        X = np.asfortranarray(X)
+    y = X @ rng.normal(size=p) + rng.normal(size=n) + 300.0
+    want_best, want_mse = choose_oracle(X, y, k_max, folds, seed % 97)
+    best, cv_mse = pls_choose_components(X, y, k_max, folds=folds,
+                                         seed=seed % 97)
+    assert best == want_best
+    assert cv_mse.tobytes() == want_mse.tobytes()

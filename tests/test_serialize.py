@@ -18,12 +18,12 @@ from spectramap.gbt import GbtSpec, gbt_fit, gbt_predict
 from spectramap.ihm import (ComponentModel, HardModel, IhmFeatures, Peak,
                             hard_model_eval, ihm_features)
 from spectramap.mlp import MlpModel, MlpSpec, mlp_fit, mlp_predict
-from spectramap.pls import pls_fit, pls_predict
+from spectramap.pls import PlsModel, pls_fit, pls_predict
 from spectramap.pretreat import apply_column_scaler, fit_column_scaler
 from spectramap.serialize import load_model, save_model
 
-# a tiny MlpModel and YShapedModel written in format 2 by an earlier
-# version, with their predictions on a few inputs at that version
+# a tiny MlpModel, YShapedModel and PlsModel written in format 2 by an
+# earlier version, with their predictions on a few inputs at that version
 FORMAT2 = os.path.join(os.path.dirname(__file__), "data", "format2")
 
 
@@ -232,10 +232,13 @@ def test_format2_models_written_earlier_reload_and_predict():
     X = np.array(expected["inputs"])
     mlp = load_model(os.path.join(FORMAT2, "mlp"))
     yae = load_model(os.path.join(FORMAT2, "yshaped"))
+    pls = load_model(os.path.join(FORMAT2, "pls"))
     assert isinstance(mlp, MlpModel) and isinstance(yae, YShapedModel)
+    assert isinstance(pls, PlsModel)
     nu = encode(yae, X)
     for got, key in ((mlp_predict(mlp, X), "mlp_predict"),
                      (predict_size(yae, X), "predict_size"),
-                     (nu, "encode"), (decode(yae, nu), "decode")):
+                     (nu, "encode"), (decode(yae, nu), "decode"),
+                     (pls_predict(pls, X), "pls_predict")):
         np.testing.assert_allclose(got, expected[key], rtol=0, atol=1e-12,
                                    err_msg=key)
