@@ -344,7 +344,12 @@ def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5) -> EigenSelec
     predictors] and target t, the n local systems
     (A^T diag(W_i) A + LLR_RIDGE I) theta_i = A^T diag(W_i) t come from
     two products, W @ (A_j A_j^T) and W @ (A_j t_j), and one batched
-    solve.  The residual
+    solve.  Forming these normal equations squares the conditioning of
+    the local designs, which are near-collinear when earlier columns are
+    harmonics of one another, so one step of iterative refinement
+    corrects theta_i by the same systems applied to the normal-equation
+    residual, formed from the fit residuals t_j - A_j theta_i directly.
+    The residual
 
         r_k = sqrt( sum_i (t_i - A_i theta_i)^2 / sum_i t_i^2 )
 
@@ -372,8 +377,13 @@ def local_linear_residual(Phi: np.ndarray, threshold: float = 0.5) -> EigenSelec
         t = Phi[:, k]
         AA = (A[:, :, None] * A[:, None, :]).reshape(n, -1)
         M = (W @ AA).reshape(n, k + 1, k + 1) + LLR_RIDGE * np.eye(k + 1)
-        theta = np.linalg.solve(M, (W @ (A * t[:, None]))[:, :, None])
-        err = t - np.einsum("ij,ij->i", A, theta[:, :, 0])
+        theta = np.linalg.solve(M, (W @ (A * t[:, None]))[:, :, None])[..., 0]
+        E = theta @ A.T  # E[i, j] = t_j - A_j theta_i, built in place
+        np.subtract(t, E, out=E)
+        E *= W
+        refine = E @ A - LLR_RIDGE * theta
+        theta += np.linalg.solve(M, refine[:, :, None])[..., 0]
+        err = t - np.einsum("ij,ij->i", A, theta)
         denom = float(np.sum(t * t))
         res[k] = float(np.sqrt(np.sum(err ** 2) / denom)) if denom > 0 else 0.0
     keep = tuple(int(i) for i in np.nonzero(res > threshold)[0])

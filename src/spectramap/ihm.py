@@ -17,6 +17,26 @@ Positions are box-bounded around their initial values and the other
 parameters are projected onto their physical ranges after every trial
 step, so accepted steps never leave the feasible set and the SSE is
 non-increasing by construction.
+
+The stopping tests are MINPACK's relative ones (More, "The
+Levenberg-Marquardt algorithm: implementation and theory", 1978), with
+D = sqrt(diag(J'J)) and the reason recorded in ``FitResult.reason``:
+
+- "gtol": every component of the projected gradient g = J'r has cosine
+  |g_j| / (D_j ||r||) <= LM_GTOL, where a parameter at a bound whose
+  gradient points out of the box counts as zero (so does an exact fit);
+- "ftol": after a trial step, the relative SSE decrease and the relative
+  reduction predicted by the damped linear model are both <= LM_FTOL
+  (a rejected step decreases nothing, so there the prediction decides);
+- "xtol": the trial step, scaled by D, is <= LM_XTOL times the scaled
+  parameter vector;
+- "lambda_max": the damping overflowed LM_LAMBDA_MAX, and
+  "max_iterations": the budget ran out; neither counts as converged.
+
+Every test is a ratio of quantities of the same units, so scaling a
+spectrum together with its baseline and peak intensities by a power of
+two gives the same iterations, the same reason and exactly scaled
+parameters.
 """
 
 from __future__ import annotations
@@ -35,7 +55,9 @@ MODES = ("medium", "high")
 
 LM_LAMBDA0 = 1e-3
 LM_MAX_ITER = 200
-LM_GRAD_TOL = 1e-10
+LM_FTOL = 1e-10
+LM_XTOL = 1e-10
+LM_GTOL = 1e-10
 LM_LAMBDA_MAX = 1e12
 POSITION_BOUND = 5.0
 HWHM_FLOOR = 1e-6
@@ -99,12 +121,19 @@ class IhmFeatures:
     max_iterations: int
 
 
+CONVERGED_REASONS = ("gtol", "ftol", "xtol")
+
+
 @dataclass(frozen=True)
 class FitResult:
     model: HardModel
     sse: float
-    converged: bool
     n_iterations: int
+    reason: str  # one of CONVERGED_REASONS, "lambda_max", "max_iterations"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in CONVERGED_REASONS
 
 
 def pseudo_voigt_eval(peak: Peak, grid: np.ndarray) -> np.ndarray:
@@ -226,9 +255,9 @@ def _eval_and_jacobian(template, values, mode, grid):
 
 
 def _projector(template, theta0, mode, position_bound):
-    """Clamp a trial parameter vector onto the feasible set: positions
-    boxed around their initial values, weights/intensities nonnegative,
-    shape fractions in [0, 1], widths positive."""
+    """The feasible box (lo, hi) that trial steps are clipped onto:
+    positions boxed around their initial values, weights/intensities
+    nonnegative, shape fractions in [0, 1], widths positive."""
     n_comp = len(template.components)
     lo = np.full(theta0.size, -np.inf)
     hi = np.full(theta0.size, np.inf)
@@ -245,7 +274,7 @@ def _projector(template, theta0, mode, position_bound):
                 pos += 4
             else:
                 pos += 1
-    return lambda theta: np.clip(theta, lo, hi)
+    return lo, hi
 
 
 def fit_hard_model(model: HardModel, grid: np.ndarray,
@@ -253,8 +282,10 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
                    position_bound: float = POSITION_BOUND,
                    max_iterations: int = LM_MAX_ITER) -> FitResult:
     """Least-squares fit of the mode's free parameters to one spectrum.
-    Returns the best parameters seen even when the iteration budget runs
-    out (converged flag False in that case)."""
+    Stops on the first stopping test met (see the module docstring);
+    max_iterations is only a budget.  Returns the best parameters seen
+    even when the budget runs out or the damping overflows (converged
+    False in those cases)."""
     _check_mode(mode)
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(intensity, dtype=float)
@@ -266,54 +297,78 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
                 raise ValueError(
                     f"peak at {p.position} outside the grid extent")
     theta = extract_parameters(model, mode)
-    project = _projector(model, theta, mode, position_bound)
+    lo, hi = _projector(model, theta, mode, position_bound)
+    eye = np.eye(theta.size)
     pred, J = _eval_and_jacobian(model, theta, mode, grid)
     r = pred - y
     sse = float(r @ r)
     lam = LM_LAMBDA0
-    converged = False
+    reason = "max_iterations"
     iters = 0
     for iters in range(1, max_iterations + 1):
         g = J.T @ r
-        if np.max(np.abs(g)) <= LM_GRAD_TOL:
-            converged = True
-            break
         A = J.T @ J
-        M = A + lam * np.diag(np.diag(A))
+        d = np.sqrt(np.diag(A))
+        if not np.all(d > 0):
+            raise NumericError("Jacobian rank collapse")
+        pushed_out = ((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0))
+        if np.max(np.abs(np.where(pushed_out, 0.0, g)) / d) \
+                <= LM_GTOL * np.sqrt(sse):
+            reason = "gtol"
+            break
+        # the system in D-scaled variables z = D delta has a unit diagonal,
+        # so it is the same for any rescaling of the parameters or the data
+        A_scaled = A / np.outer(d, d)
+        g_scaled = g / d
         try:
-            delta = np.linalg.solve(M, -g)
+            z = np.linalg.solve(A_scaled + lam * eye, -g_scaled)
         except np.linalg.LinAlgError:
             raise NumericError("Jacobian rank collapse") from None
-        if not np.all(np.isfinite(delta)):
+        if not np.all(np.isfinite(z)):
             raise NumericError("Jacobian rank collapse")
-        cand = project(theta + delta)
+        cand = np.clip(theta + z / d, lo, hi)
         cand_pred, cand_J = _eval_and_jacobian(model, cand, mode, grid)
         cand_r = cand_pred - y
         cand_sse = float(cand_r @ cand_r)
-        if cand_sse < sse:
+        decrease = sse - cand_sse
+        predicted = float(z @ A_scaled @ z) + 2.0 * lam * float(z @ z)
+        step = np.sqrt(np.sum((d * (cand - theta)) ** 2))
+        size = np.sqrt(np.sum((d * theta) ** 2))
+        tol_sse = LM_FTOL * sse
+        if decrease > 0:
             theta, r, J, sse = cand, cand_r, cand_J, cand_sse
             lam = max(lam / 10.0, 1e-15)
         else:
             lam *= 10.0
-            if lam > LM_LAMBDA_MAX:
-                break
-    return FitResult(rebuild_model(model, theta, mode), sse, converged, iters)
+        if decrease <= tol_sse and predicted <= tol_sse:
+            reason = "ftol"
+            break
+        if step <= LM_XTOL * size:
+            reason = "xtol"
+            break
+        if lam > LM_LAMBDA_MAX:
+            reason = "lambda_max"
+            break
+    return FitResult(rebuild_model(model, theta, mode), sse, iters, reason)
 
 
 def ihm_features(stage: IhmFeatures, X: np.ndarray):
-    """Apply the stage to rows X: feature rows plus the unconverged count
-    and the mean SSE."""
+    """Apply the stage to rows X: feature rows, the unconverged count,
+    the mean SSE and the count of each termination reason."""
     rows = []
-    unconverged = 0
+    reasons: dict = {}
     sse_total = 0.0
     for x in X:
         result = fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
                                 position_bound=stage.position_bound,
                                 max_iterations=stage.max_iterations)
         rows.append(extract_parameters(result.model, stage.mode))
-        unconverged += 0 if result.converged else 1
+        reasons[result.reason] = reasons.get(result.reason, 0) + 1
         sse_total += result.sse
-    return np.array(rows), unconverged, sse_total / len(X)
+    unconverged = sum(count for reason, count in reasons.items()
+                      if reason not in CONVERGED_REASONS)
+    return (np.array(rows), unconverged, sse_total / len(X),
+            dict(sorted(reasons.items())))
 
 
 def hard_model_to_dict(model: HardModel) -> dict:

@@ -392,11 +392,15 @@ def _run_pls(config: dict, ctx: RunContext) -> RunReport:
                           mode=icfg.get("mode", "medium"),
                           position_bound=float(icfg.get("position_bound", 5.0)),
                           max_iterations=int(icfg.get("max_iterations", 200)))
-        F_tr, unc_tr, sse_tr = ihm_features(ihm, ctx.train.intensities)
-        F_te, unc_te, sse_te = ihm_features(ihm, ctx.test.intensities)
+        F_tr, unc_tr, sse_tr, why_tr = ihm_features(ihm,
+                                                    ctx.train.intensities)
+        F_te, unc_te, sse_te, why_te = ihm_features(ihm,
+                                                    ctx.test.intensities)
         chain.add("hard_model", ihm, outputs=(F_tr, F_te))
         diagnostics.update({"ihm_unconverged_train": unc_tr,
                             "ihm_unconverged_test": unc_te,
+                            "ihm_termination_train": why_tr,
+                            "ihm_termination_test": why_te,
                             "ihm_mean_sse_train": sse_tr,
                             "ihm_mean_sse_test": sse_te})
 

@@ -4,13 +4,16 @@ Line-shape facts pinned here: both mixture components have unit height
 at the peak position, halve at one half-width, and the Lorentzian is
 exactly 1/5 at two half-widths (1/(1+4)).  The fitter is checked by
 self-fit: a spectrum generated from a known model must be recovered from
-a perturbed start."""
+a perturbed start.  Its stopping rule is checked by scaling a noisy
+spectrum together with its hard model by powers of two, which must not
+change a single decision or bit, and by one pinned noisy fit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectramap.errors import NumericError
-from spectramap.ihm import (ComponentModel, HardModel, Peak,
+from spectramap.ihm import (MODES, ComponentModel, HardModel, Peak,
                             _eval_and_jacobian, component_eval,
                             extract_parameters, fit_hard_model,
                             hard_model_eval, hard_model_from_dict,
@@ -274,3 +277,53 @@ def test_component_eval_sums_peaks():
     total = pseudo_voigt_at(comp.peaks[0], GRID) \
         + pseudo_voigt_at(comp.peaks[1], GRID)
     assert np.array_equal(component_eval(comp, GRID), total)
+
+
+def _noisy_fit_problem():
+    """A 0.02-noise spectrum of the three-peak model and a start off in
+    every parameter."""
+    y = hard_model_eval(_three_peak_model(), GRID) \
+        + 0.02 * np.random.default_rng(0).standard_normal(GRID.size)
+    start = HardModel(
+        (ComponentModel("a", (Peak(996.0, 1.8, 0.6, 14.0),
+                              Peak(1223.0, 1.0, 0.4, 15.0))),
+         ComponentModel("b", (Peak(1476.0, 3.3, 0.5, 10.0),))),
+        (1.0, 1.0), (0.0, 0.0))
+    return start, y
+
+
+def _scaled(model, c):
+    """The model with its baseline and every peak intensity times c."""
+    return HardModel(
+        tuple(ComponentModel(comp.name, tuple(
+            Peak(p.position, c * p.intensity, p.shape, p.hwhm)
+            for p in comp.peaks)) for comp in model.components),
+        model.weights, (c * model.baseline[0], c * model.baseline[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-60, 60), mode=st.sampled_from(MODES))
+def test_stopping_decisions_do_not_depend_on_the_data_scale(k, mode):
+    # c = 2^k scales exactly, so every ratio the stopping tests form and
+    # every fitted parameter, scaled back, must come out bit-identical
+    start, y = _noisy_fit_problem()
+    c = 2.0 ** k
+    ref = fit_hard_model(start, GRID, y, mode=mode)
+    got = fit_hard_model(_scaled(start, c), GRID, c * y, mode=mode)
+    assert (got.n_iterations, got.converged, got.reason) \
+        == (ref.n_iterations, ref.converged, ref.reason)
+    assert ref.converged
+    assert np.array_equal(
+        extract_parameters(_scaled(got.model, 1.0 / c), mode),
+        extract_parameters(ref.model, mode))
+
+
+def test_pinned_noisy_medium_fit():
+    start, y = _noisy_fit_problem()
+    res = fit_hard_model(start, GRID, y, mode="medium")
+    assert (res.n_iterations, res.reason, res.converged) == (8, "ftol", True)
+    want = [0.15835639116820324, 0.00013454535793583429, 1.6469152609155948,
+            0.6843315173304523, 999.990393011824, 1219.9928451560731,
+            1479.9817743795263]
+    np.testing.assert_allclose(extract_parameters(res.model, "medium"),
+                               want, rtol=1e-12, atol=0)
