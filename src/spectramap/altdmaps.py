@@ -9,12 +9,19 @@ normalization when enabled).  Their product
 is again row-stochastic and its eigenvectors Psi parameterize only the
 structure the two sensors share: diffusion alternates between the
 sensors, so variation seen by a single sensor averages out.  K_alt is
-not symmetric, so a general eigensolver is used; eigenvalues of a real
-stochastic product must be real here, and any eigenpair with a relative
-imaginary part above 1e-8 aborts the fit.  Eigenvectors are unit-norm
-with the largest-magnitude entry positive, matching the single-sensor
-convention, so feeding the same data to both sensors reproduces the
-single-sensor eigenvectors with squared eigenvalues.
+never formed.  Its n_eig leading eigenpairs come from
+dmaps.leading_eigenpairs, block subspace iteration on Q -> K1 (K2 Q)
+with a block of 2 n_eig columns: each sweep orthonormalizes the product
+by QR, and Rayleigh-Ritz uses a general (nonsymmetric) eig of the small
+projected matrix.  It stops when every kept pair has
+|K_alt v - lambda v| <= EIG_TOL |lambda_0| |v|, and a fit that does not
+get there within EIG_MAX_SWEEPS sweeps raises NumericError.
+Eigenvalues of a real stochastic product must be real here, and any
+kept eigenpair with a relative imaginary part above 1e-8 aborts the
+fit.  Eigenvectors are unit-norm with the largest-magnitude entry
+positive, matching the single-sensor convention, so feeding the same
+data to both sensors reproduces the single-sensor eigenvectors with
+squared eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dmaps import KernelParams, markov_normalize, training_kernel, _fix_signs
+from .dmaps import (KernelParams, leading_eigenpairs, training_kernel,
+                    _fix_signs)
 from .errors import NumericError
 
 IMAG_LEAK_TOL = 1e-8
@@ -43,8 +51,10 @@ class AltDmapModel:
 
 
 def _markov_kernel(X: np.ndarray, params: KernelParams) -> Tuple[np.ndarray, float]:
+    """K = D^-1 W~, formed in place of W~ (rounded as markov_normalize)."""
     Wt, _, eps = training_kernel(X, params)
-    return markov_normalize(Wt), eps
+    Wt /= Wt.sum(axis=1)[:, None]
+    return Wt, eps
 
 
 def fit_altdmaps(X1: np.ndarray, X2: np.ndarray,
@@ -72,11 +82,8 @@ def fit_altdmaps(X1: np.ndarray, X2: np.ndarray,
         raise ValueError("need more samples than requested eigenpairs")
     K1, eps1 = _markov_kernel(X1, params1)
     K2, eps2 = _markov_kernel(X2, params2)
-    K_alt = K1 @ K2
-    vals, vecs = np.linalg.eig(K_alt)
-    order = np.argsort(np.abs(vals))[::-1][:n_eig]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = leading_eigenpairs(lambda Q: K1 @ (K2 @ Q), n, n_eig,
+                                    2 * n_eig)
     scale = np.maximum(np.abs(vals), 1e-300)
     if np.any(np.abs(vals.imag) > IMAG_LEAK_TOL * scale):
         raise NumericError("alternating kernel produced complex eigenvalues")

@@ -58,18 +58,25 @@ may still round a row differently when the rows beside it change.
 
 Geometric harmonics reuse the same machinery to lift a function given
 on training points to new points: fit a kernel over the input
-coordinates, keep eigenpairs with lambda >= delta * lambda_max, project
-the target onto them (D-weighted projection, under which the phi are
-orthogonal), and evaluate the retained eigenfunctions at new points via
-Nystrom.  Since phi_0 of a Markov kernel is constant, constant targets
-extend exactly.
+coordinates, keep the eigenpairs with lambda >= max(delta * lambda_max,
+NYSTROM_EIG_FLOOR), project the target onto them (D-weighted
+projection, under which the phi are orthogonal), and evaluate the
+retained eigenfunctions at new points via Nystrom.  Since phi_0 of a
+Markov kernel is constant, constant targets extend exactly.  Only the
+kept pairs are computed: leading_eigenpairs runs block subspace
+iteration with Rayleigh-Ritz on S, from a block of GH_BLOCK columns that
+doubles until a converged Ritz value lies below the cutoff, so the
+harmonic count is the one a full eigh gives, without its n x n
+eigenvector block.  fit_dmaps itself keeps the full eigh: past the
+first few pairs its spectrum flattens, where subspace iteration would
+converge slowly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Sequence
+from typing import Callable, Optional, Tuple, Sequence
 
 import numpy as np
 
@@ -80,6 +87,12 @@ NYSTROM_EIG_FLOOR = 1e-6
 NYSTROM_CHUNK_ROWS = 256
 LLR_BANDWIDTH_SCALE = 1.0 / 3.0  # see local_linear_residual
 LLR_RIDGE = 1e-8
+# leading_eigenpairs: residual bound relative to |lambda_0|, sweep
+# budget, and the largest |theta_last / theta_tested| a block may keep
+EIG_TOL = 1e-13
+EIG_MAX_SWEEPS = 300
+EIG_GROW_RATIO = 0.05
+GH_BLOCK = 64  # starting block of the geometric-harmonics eigensolve
 
 
 @dataclass(frozen=True)
@@ -131,14 +144,6 @@ class DmapModel:
         centre = _column_centre(self.points)
         C = self.points - centre
         return centre, C, _sq_norms(C)
-
-    def truncate(self, m: int) -> "DmapModel":
-        # a contiguous copy, laid out like a loaded model's, so that
-        # Nystrom products round alike before and after a reload
-        return DmapModel(self.points, self.epsilon, self.density_normalize,
-                         self.eigenvalues[:m],
-                         np.ascontiguousarray(self.eigenvectors[:, :m]),
-                         self.p_row_sums, self.d_row_sums)
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,7 @@ def epsilon_median_heuristic(D2: np.ndarray) -> float:
     vals = np.asarray(D2)[np.asarray(D2) > 0]
     if vals.size == 0:
         raise ValueError("all pairwise distances are zero; cannot pick epsilon")
-    return float(np.sqrt(np.median(vals)))
+    return float(np.sqrt(np.median(vals, overwrite_input=True)))
 
 
 def density_normalize(W: np.ndarray) -> np.ndarray:
@@ -234,13 +239,18 @@ def training_kernel(X: np.ndarray, params: KernelParams
 
     W_ii = exp(0) = 1, so every row sum of W is at least 1 and every row
     of W~ keeps a diagonal entry of at least 1/n^2: no row sum can
-    underflow, and none is guarded."""
+    underflow, and none is guarded.  W and W~ are formed in place in
+    the distance matrix, with the same roundings as gaussian_kernel and
+    density_normalize."""
     D2 = pairwise_sq_distances(X)
     eps = params.epsilon if params.epsilon is not None else epsilon_median_heuristic(D2)
-    W = gaussian_kernel(D2, eps)
+    D2 /= -(eps * eps)
+    W = np.exp(D2, out=D2)
     if not params.density_normalize:
         return W, None, float(eps)
-    return density_normalize(W), W.sum(axis=1), float(eps)
+    p = W.sum(axis=1)
+    W /= np.outer(p, p)
+    return W, p, float(eps)
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -252,26 +262,93 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def fit_dmaps(X: np.ndarray, params: Optional[KernelParams] = None,
-              n_eig: int = 10) -> DmapModel:
-    """Fit a diffusion map on the rows of X keeping n_eig eigenpairs
-    (the trivial pair included as column 0)."""
-    X = np.asarray(X, dtype=float)
-    if params is None:
-        params = KernelParams()
-    if n_eig < 2:
-        raise ValueError("n_eig must be at least 2")
-    if X.ndim != 2 or X.shape[0] <= n_eig:
-        raise ValueError("need more samples than requested eigenpairs")
+def leading_eigenpairs(apply: Callable[[np.ndarray], np.ndarray], n: int,
+                       k: int, block: int, seed: int = 0,
+                       symmetric: bool = False,
+                       cutoff: Optional[Callable[[float], float]] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpairs, by descending |lambda|, of the n x n operator
+    A behind `apply` (an n x b block Q -> A Q).
+
+    Block subspace iteration from a Gaussian start block drawn with
+    `seed`.  Each sweep applies A to the orthonormal basis Q, takes the
+    Ritz pairs (theta, Q y) from the eigenproblem of Q^T A Q (eigh when
+    `symmetric`, eig otherwise; eig may return complex pairs), and
+    orthonormalizes A Q by QR for the next sweep.  It stops when every
+    pair it has to decide on passes
+
+        |A v - theta v| <= EIG_TOL * |theta_0| * |v|,
+
+    and raises NumericError, naming the worst residual, once
+    EIG_MAX_SWEEPS sweeps have not sufficed.  A block of n columns spans
+    the whole space, so its Rayleigh-Ritz step is a full eigensolve and
+    needs no test.
+
+    It returns the first k pairs.  Given `cutoff` (a function of
+    theta_0; real spectra only), it returns the leading pairs with
+    theta >= cutoff, at most k, and the first pair below the cutoff
+    must pass the test as well, so the count is the one a full solve
+    gives.
+
+    A tested pair j converges by about |lambda_b / lambda_j| per sweep
+    for a block of b columns.  So whenever the last Ritz value exceeds
+    EIG_GROW_RATIO times the last tested one, or the block cannot hold
+    the pairs to test, the block doubles (at most to n): A Q is kept and
+    fresh Gaussian columns are appended.  A near-degenerate or slowly
+    decaying spectrum thus ends in a larger block, not in the budget.
+    """
+    rng = np.random.default_rng(seed)
+    b = min(block, n)
+    Q = np.linalg.qr(rng.standard_normal((n, b)))[0]
+    worst = np.inf
+    for _ in range(EIG_MAX_SWEEPS):
+        Z = apply(Q)
+        H = Q.T @ Z
+        theta, Y = np.linalg.eigh(0.5 * (H + H.T)) if symmetric else np.linalg.eig(H)
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, Y = theta[order], Y[:, order]
+        kept = tested = k
+        if cutoff is not None:
+            below = np.nonzero(theta < cutoff(theta[0]))[0]
+            kept = min(k, int(below[0]) if below.size else b)
+            tested = min(kept + 1, k)
+        if b == n:
+            return theta[:kept], Q @ Y[:, :kept]
+        if tested >= b or abs(theta[-1]) > EIG_GROW_RATIO * abs(theta[tested - 1]):
+            b = min(2 * b, n)
+            Q = np.linalg.qr(np.hstack([Z, rng.standard_normal((n, b - Z.shape[1]))]))[0]
+            continue
+        V = Q @ Y[:, :tested]
+        res = np.linalg.norm(Z @ Y[:, :tested] - V * theta[:tested], axis=0)
+        v_norm = np.linalg.norm(V, axis=0)
+        if np.all(res <= EIG_TOL * abs(theta[0]) * v_norm):
+            return theta[:kept], V[:, :kept]
+        worst = float(np.max(res / v_norm) / abs(theta[0]))
+        Q = np.linalg.qr(Z)[0]
+    raise NumericError(f"leading eigenpairs did not converge in "
+                       f"{EIG_MAX_SWEEPS} sweeps: worst residual "
+                       f"{worst:.3g} of |lambda_0|")
+
+
+def _symmetric_kernel(X: np.ndarray, params: KernelParams):
+    """The symmetric conjugate S = D^-1/2 W~ D^-1/2 of the Markov kernel
+    of X, with 1/sqrt(D), the row sums P (or None) and D, and epsilon.
+    S is built in place of W~."""
     Wt, p, eps = training_kernel(X, params)
     d = Wt.sum(axis=1)
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    S = Wt * np.outer(inv_sqrt_d, inv_sqrt_d)
-    S = 0.5 * (S + S.T)
-    vals, vecs = np.linalg.eigh(S)
-    order = np.argsort(vals)[::-1][:n_eig]
-    lam = vals[order]
-    phi = vecs[:, order] * inv_sqrt_d[:, None]
+    Wt *= np.outer(inv_sqrt_d, inv_sqrt_d)
+    S = Wt + Wt.T
+    S *= 0.5
+    return S, inv_sqrt_d, p, d, eps
+
+
+def _dmap_model(X: np.ndarray, params: KernelParams, kernel, lam: np.ndarray,
+                V: np.ndarray) -> DmapModel:
+    """A DmapModel from eigenpairs (lam, V) of the symmetric kernel:
+    phi = D^-1/2 V, columns unit-norm and sign-fixed."""
+    _, inv_sqrt_d, p, d, eps = kernel
+    phi = V * inv_sqrt_d[:, None]
     phi = phi / np.linalg.norm(phi, axis=0)
     phi = _fix_signs(phi)
     if abs(lam[0] - 1.0) > 1e-8:
@@ -280,6 +357,23 @@ def fit_dmaps(X: np.ndarray, params: Optional[KernelParams] = None,
                      density_normalize=params.density_normalize,
                      eigenvalues=lam, eigenvectors=phi,
                      p_row_sums=p, d_row_sums=d)
+
+
+def fit_dmaps(X: np.ndarray, params: Optional[KernelParams] = None,
+              n_eig: int = 10) -> DmapModel:
+    """Fit a diffusion map on the rows of X keeping n_eig eigenpairs
+    (the trivial pair included as column 0), by a full eigh of S."""
+    X = np.asarray(X, dtype=float)
+    if params is None:
+        params = KernelParams()
+    if n_eig < 2:
+        raise ValueError("n_eig must be at least 2")
+    if X.ndim != 2 or X.shape[0] <= n_eig:
+        raise ValueError("need more samples than requested eigenpairs")
+    kernel = _symmetric_kernel(X, params)
+    vals, vecs = np.linalg.eigh(kernel[0])
+    order = np.argsort(vals)[::-1][:n_eig]
+    return _dmap_model(X, params, kernel, vals[order], vecs[:, order])
 
 
 def _kernel_rows(model: DmapModel, X_new: np.ndarray) -> np.ndarray:
@@ -407,8 +501,10 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray,
 
     Eigenpairs with lambda >= delta * lambda_max survive the cutoff
     (floored at the Nystrom limit so every retained harmonic stays
-    extendable).  Coefficients come from the D-weighted projection,
-    under which distinct eigenvectors are exactly orthogonal.
+    extendable), at most n - 1 of them; only those are computed, by
+    leading_eigenpairs.  Coefficients come from the D-weighted
+    projection, under which distinct eigenvectors are exactly
+    orthogonal.
     """
     inputs = np.asarray(inputs, dtype=float)
     F = np.asarray(targets, dtype=float)
@@ -422,12 +518,14 @@ def gh_fit(inputs: np.ndarray, targets: np.ndarray,
         raise ValueError("delta must lie in (0, 1)")
     if params is None:
         params = KernelParams()
-    full = fit_dmaps(inputs, params, n_eig=inputs.shape[0] - 1)
-    cutoff = max(delta * full.eigenvalues[0], NYSTROM_EIG_FLOOR)
-    m = int(np.sum(full.eigenvalues >= cutoff))
-    if m == 0:
+    kernel = _symmetric_kernel(inputs, params)
+    S, n = kernel[0], inputs.shape[0]
+    lam, V = leading_eigenpairs(
+        lambda Q: S @ Q, n, n - 1, GH_BLOCK, symmetric=True,
+        cutoff=lambda lam0: max(delta * lam0, NYSTROM_EIG_FLOOR))
+    if lam.size == 0:
         raise NumericError("no harmonic survives the eigenvalue cutoff")
-    dm = full.truncate(m)
+    dm = _dmap_model(inputs, params, kernel, lam, V)
     Phi = dm.eigenvectors
     d = dm.d_row_sums
     num = Phi.T @ (d[:, None] * F2)

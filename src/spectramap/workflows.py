@@ -292,7 +292,7 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
     """Offline, find the variable common to the spectral embedding and
     the sizes; online, Nystrom coordinates for new spectra, regress the
     common coordinates from them, then the size from the common ones."""
-    embed, _ = _embed(config, ctx)
+    embed, residuals = _embed(config, ctx)
     cfg = config.get("altdmaps", {})
     check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
                      "density_normalize", "llr_threshold", "gh_delta",
@@ -312,6 +312,7 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
                                 threshold=float(cfg.get("llr_threshold", 0.5)))
     seed = _top_seed(config)
     chain, diagnostics = _embedded_chain(ctx, embed)
+    diagnostics["llr_residuals"] = residuals
 
     n_alt_max = alt.eigenvalues.size - 1
     n_alt = int(cfg.get("n_alt_coords", min(6, n_alt_max)))
@@ -324,6 +325,7 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
     if alt_kind == "gh":
         f_alt = gh_fit(phi, psi_tr, params=KernelParams(),
                        delta=float(cfg.get("gh_delta", 1e-3)))
+        diagnostics["gh_harmonics"] = f_alt.dmap.n_eig
     elif alt_kind == "gbt":
         f_alt = _head_fit("gbt", cfg.get("alt_regressor_config", {}),
                           phi, psi_tr, seed)

@@ -1,12 +1,17 @@
 """Tests for alternating diffusion maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spectramap.altdmaps import alt_coordinates, fit_altdmaps
-from spectramap.dmaps import (KernelParams, fit_dmaps, gaussian_kernel,
-                              pairwise_sq_distances, density_normalize,
+from spectramap.dmaps import (EIG_TOL, KernelParams, fit_dmaps,
+                              gaussian_kernel, gh_fit, pairwise_sq_distances,
+                              density_normalize, epsilon_median_heuristic,
                               markov_normalize)
+from spectramap.errors import NumericError
 
 
 def two_sensor_data(n=400, alpha=1.3, dim=10, seed=7):
@@ -96,3 +101,112 @@ class TestValidation:
             alt_coordinates(alt, [4])
         with pytest.raises(ValueError):
             alt_coordinates(alt, [])
+
+
+# -- the subspace iteration against dense eig of K1 @ K2 -------------------
+
+def markov(X, params=KernelParams()):
+    D2 = pairwise_sq_distances(X)
+    eps = params.epsilon or epsilon_median_heuristic(D2)
+    W = gaussian_kernel(D2, eps)
+    return markov_normalize(density_normalize(W) if params.density_normalize
+                            else W)
+
+
+def eig_oracle(A):
+    """Eigenpairs of A by descending |lambda|, with each eigenvalue's
+    condition number 1 / |y^T x| (unit left and right vectors)."""
+    w, R = np.linalg.eig(A)
+    order = np.argsort(-np.abs(w), kind="stable")
+    w, R = w[order], R[:, order]
+    wl, L = np.linalg.eig(A.T)
+    L = L[:, [int(np.argmin(np.abs(wl - x))) for x in w]]
+    kappa = 1.0 / np.abs(np.sum(L.conj() * R, axis=0))
+    return w, R, kappa
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(20, 200), dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       shared=st.floats(0.0, 1.0), density=st.booleans(), k=st.integers(2, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_alt_pairs_match_dense_eig_of_the_product(n, dims, shared, density, k,
+                                                  seed):
+    """Each kept pair has a residual of at most EIG_TOL (lambda_0 = 1), so
+    its eigenvalue lies within kappa EIG_TOL of the oracle's; twice that
+    bounds it, and twice that over the eigenvalue gap bounds its unit
+    vector, whose sign is fixed against the oracle's."""
+    rng = np.random.default_rng(seed)
+    X1 = rng.normal(size=(n, dims[0]))
+    X2 = rng.normal(size=(n, dims[1]))
+    X2[:, 0] = X1[:, 0] + shared * X2[:, 0]
+    params = KernelParams(density_normalize=density)
+    w, R, kappa = eig_oracle(markov(X1, params) @ markov(X2, params))
+    assume(np.all(w[:k + 1].imag == 0) and abs(w[k - 1]) - abs(w[k]) > 1e-9)
+    w, R = w.real, R.real
+    alt = fit_altdmaps(X1, X2, params, params, n_eig=k)
+    assert np.all(np.abs(alt.eigenvalues - w[:k]) <= 2 * kappa[:k] * EIG_TOL)
+    for j in range(k):
+        gap = np.min(np.abs(np.delete(w, j) - w[j]))
+        x = R[:, j] / np.linalg.norm(R[:, j])
+        v = alt.eigenvectors[:, j] * np.sign(alt.eigenvectors[:, j] @ x)
+        assert np.linalg.norm(v - x) <= 2 * kappa[j] * EIG_TOL / gap + 1e-13
+
+
+class TestSubspaceIteration:
+    def test_block_covering_all_samples_matches_dense_eig(self):
+        # 2 * n_eig >= n: the block spans the space in one sweep
+        rng = np.random.default_rng(8)
+        X1, X2 = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
+        w, R, _ = eig_oracle(markov(X1) @ markov(X2))
+        alt = fit_altdmaps(X1, X2, n_eig=10)
+        assert np.all(w[:10].imag == 0)
+        assert np.max(np.abs(alt.eigenvalues - w[:10].real)) < 1e-12
+        aligned = R[:, :10].real * np.sign(np.sum(R[:, :10].real
+                                                   * alt.eigenvectors, axis=0))
+        aligned /= np.linalg.norm(aligned, axis=0)
+        assert np.max(np.abs(alt.eigenvectors - aligned)) < 1e-10
+
+    def test_two_fits_are_bit_equal(self):
+        X1, X2, _ = two_sensor_data(n=300)
+        a, b = (fit_altdmaps(X1, X2, n_eig=8) for _ in range(2))
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_kept_complex_pair_is_refused(self):
+        # lambda_1,2 = 0.1976 +- 0.0154i in the dense spectrum
+        rng = np.random.default_rng(4)
+        X1, X2 = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+        p = KernelParams(epsilon=1.0, density_normalize=False)
+        w = np.linalg.eigvals(markov(X1, p) @ markov(X2, p))
+        assert np.sort(np.abs(w.imag))[-1] > 0.01
+        with pytest.raises(NumericError, match="complex"):
+            fit_altdmaps(X1, X2, p, p, n_eig=3)
+
+
+def traced_peak(fn):
+    """tracemalloc peak of one call, in bytes above the memory live
+    before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_alternating_and_gh_fits_stay_within_a_few_kernels_of_memory():
+    """At n = 800, one n x n float64 matrix is 5.1 MB.  Building the two
+    Markov kernels peaks at about 3.1 of them; the dense path (K1 @ K2
+    beside K1 and K2, then eig's complex eigenvectors) reached 5.0, and
+    gh_fit's full n x (n - 1) eigendecomposition reached 7.0, against
+    about 2.1 now.  The bounds sit between."""
+    n = 800
+    rng = np.random.default_rng(0)
+    s = np.sort(rng.uniform(0, 1, n))
+    X1 = np.column_stack([np.cos(3 * s), np.sin(3 * s),
+                          0.1 * rng.normal(size=n)])
+    X2 = (200 + 300 * s + rng.normal(size=n))[:, None]
+    kernel = 8 * n * n
+    assert traced_peak(lambda: fit_altdmaps(X1, X2, n_eig=6)) < 4.0 * kernel
+    F = rng.normal(size=(n, 6))
+    assert traced_peak(lambda: gh_fit(X1, F)) < 3.0 * kernel

@@ -4,10 +4,12 @@ ranking and geometric harmonics."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from spectramap.dmaps import (
+    EIG_TOL,
+    NYSTROM_EIG_FLOOR,
     DmapModel,
     KernelParams,
     density_normalize,
@@ -16,12 +18,14 @@ from spectramap.dmaps import (
     gaussian_kernel,
     gh_fit,
     gh_predict,
+    leading_eigenpairs,
     local_linear_residual,
     markov_normalize,
     nystrom_extend,
     pairwise_sq_distances,
     _kernel_rows,
 )
+from spectramap import dmaps
 from spectramap.errors import NumericError
 
 
@@ -394,3 +398,116 @@ def test_batched_llr_matches_the_per_sample_oracle(problem):
     sel = local_linear_residual(Phi)
     assert np.allclose(sel.residuals, res, rtol=0, atol=1e-12)
     assert sel.indices == keep
+
+
+# -- leading_eigenpairs against dense eigh, and gh_fit's harmonic count ----
+
+def gaussian_points(n, dim, seed):
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def symmetric_kernel(X, scale=1.0):
+    """S = D^-1/2 W~ D^-1/2 over the rows of X, epsilon `scale` times
+    the median heuristic, built from the public kernel pieces."""
+    D2 = pairwise_sq_distances(X)
+    Wt = density_normalize(gaussian_kernel(D2, scale * epsilon_median_heuristic(D2)))
+    d = Wt.sum(axis=1)
+    S = Wt / np.sqrt(np.outer(d, d))
+    return 0.5 * (S + S.T)
+
+
+def assert_pairs_match(lam, V, ref_val, ref_vec):
+    """Kept pairs against the leading oracle pairs.  Each kept pair has
+    a residual of at most EIG_TOL |lambda_0|, so its eigenvalue lies
+    within that of the oracle's and its vector within that over the
+    eigenvalue gap (Davis-Kahan); twice the bounds leave room for the
+    oracle's own rounding.  Vectors are compared after fixing each
+    column's sign against the oracle."""
+    k = lam.size
+    tol = EIG_TOL * abs(ref_val[0])
+    assert np.all(np.abs(lam - ref_val[:k]) <= 2 * tol)
+    for j in range(k):
+        gap = np.min(np.abs(np.delete(ref_val, j) - ref_val[j]))
+        v = V[:, j] / np.linalg.norm(V[:, j])
+        v = v * np.sign(v @ ref_vec[:, j])
+        assert np.linalg.norm(v - ref_vec[:, j]) <= 2 * tol / gap + 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(20, 160), dim=st.integers(1, 4),
+       scale=st.floats(0.3, 2.0), k=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_leading_eigenpairs_match_eigh_on_symmetric_kernels(n, dim, scale, k,
+                                                             seed):
+    S = symmetric_kernel(gaussian_points(n, dim, seed), scale)
+    ref_val, ref_vec = np.linalg.eigh(S)
+    ref_val, ref_vec = ref_val[::-1], ref_vec[:, ::-1]
+    # the k-th and (k+1)-th pairs must be told apart for "the leading k"
+    # to name one set of pairs
+    assume(ref_val[k - 1] - ref_val[k] > 1e-9)
+    lam, V = leading_eigenpairs(lambda Q: S @ Q, n, k, 2 * k, symmetric=True)
+    assert lam.shape == (k,) and V.shape == (n, k)
+    assert_pairs_match(lam, V, ref_val, ref_vec)
+
+
+class TestLeadingEigenpairs:
+    def test_block_at_least_n_is_a_full_solve(self):
+        S = symmetric_kernel(gaussian_points(30, 2, seed=0))
+        ref_val, ref_vec = np.linalg.eigh(S)
+        order = np.argsort(-np.abs(ref_val), kind="stable")
+        for block in (30, 45):
+            lam, V = leading_eigenpairs(lambda Q: S @ Q, 30, 29, block,
+                                        symmetric=True)
+            assert lam.size == 29
+            assert_pairs_match(lam[:10], V[:, :10], ref_val[order],
+                               ref_vec[:, order])
+
+    def test_two_runs_are_bit_equal(self):
+        S = symmetric_kernel(gaussian_points(150, 3, seed=1), 0.5)
+        runs = [leading_eigenpairs(lambda Q: S @ Q, 150, 6, 12, symmetric=True)
+                for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        t = np.sort(np.random.default_rng(2).uniform(0, 1, 300))[:, None]
+        a, b = (gh_fit(t, np.sin(6 * t[:, 0])) for _ in range(2))
+        assert np.array_equal(a.dmap.eigenvalues, b.dmap.eigenvalues)
+        assert np.array_equal(a.dmap.eigenvectors, b.dmap.eigenvectors)
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+    def test_exhausted_budget_raises_numeric_error(self, monkeypatch):
+        S = symmetric_kernel(gaussian_points(200, 2, seed=3), 0.5)
+        monkeypatch.setattr(dmaps, "EIG_MAX_SWEEPS", 2)
+        with pytest.raises(NumericError, match="did not converge.*residual"):
+            leading_eigenpairs(lambda Q: S @ Q, 200, 4, 8, symmetric=True)
+
+    def test_clustered_spectrum_grows_the_block(self):
+        # three well-separated clusters: lambda_0..2 all near 1, so a
+        # two-column block cannot separate the leading pair
+        rng = np.random.default_rng(4)
+        X = np.concatenate([rng.normal(c, 0.05, size=(40, 2))
+                            for c in (0.0, 5.0, 10.0)])
+        S = symmetric_kernel(X)
+        ref_val, ref_vec = np.linalg.eigh(S)
+        lam, V = leading_eigenpairs(lambda Q: S @ Q, 120, 1, 2, symmetric=True)
+        assert_pairs_match(lam, V, ref_val[::-1], ref_vec[:, ::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(20, 260), dim=st.integers(1, 3),
+       place=st.floats(0.0, 1.0), near=st.sampled_from([0.0, 1e-7, 1e-5, 1e-3]),
+       side=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_gh_fit_keeps_the_dense_harmonic_count(n, dim, place, near, side, seed):
+    """near 0: delta drawn log-uniformly in [1e-5, 1e-1]; otherwise the
+    cutoff sits at a relative distance `near` above or below one of the
+    oracle's eigenvalues."""
+    t = gaussian_points(n, dim, seed)
+    vals = np.linalg.eigvalsh(symmetric_kernel(t))[::-1]
+    if near == 0.0:
+        delta = 10.0 ** (-5 + 4 * place)
+    else:
+        eligible = np.nonzero((vals[1:] > 1e-5) & (vals[1:] < 0.9 * vals[0]))[0] + 1
+        assume(eligible.size > 0)
+        j = eligible[min(int(place * eligible.size), eligible.size - 1)]
+        delta = vals[j] * (1.0 + side * near) / vals[0]
+    # at most n - 1 harmonics, as from a dense fit of n - 1 pairs
+    m = min(int(np.sum(vals >= max(delta * vals[0], NYSTROM_EIG_FLOOR))), n - 1)
+    assert gh_fit(t, t[:, 0], delta=delta).dmap.n_eig == m

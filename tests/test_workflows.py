@@ -280,6 +280,26 @@ class TestAltWorkflow:
                 >= diag["size_r2_predicted_alt_train"] - 1e-9)
         assert report.test_metrics.r2 > 0.5
 
+    def test_report_carries_llr_residuals_and_harmonic_count(self, tmp_path):
+        config = peak_config(workflow="altdmaps",
+                             altdmaps={"n_eig": 6, "n_alt_coords": 3},
+                             out_dir=str(tmp_path / "run"))
+        texts = []
+        for tag in ("a", "b"):
+            emit_report(run_workflow(config), tmp_path / tag)
+            texts.append((tmp_path / tag / "report.json").read_bytes())
+        assert texts[0] == texts[1]
+        diag = json.loads(texts[0])["diagnostics"]
+        # LLR ranks the 7 nontrivial columns of the n_eig 8 embedding
+        assert len(diag["llr_residuals"]) == 7
+        assert diag["llr_residuals"][0] == 1.0
+        pipe = load_pipeline(str(tmp_path / "run" / "models"))
+        gh = pipe.stages[pipe.manifest["stages"].index("alt_regressor")]
+        assert diag["gh_harmonics"] == gh.dmap.n_eig
+        gbt = dict(config, altdmaps={"n_eig": 6, "alt_regressor": "gbt"})
+        del gbt["out_dir"]
+        assert "gh_harmonics" not in run_workflow(gbt).diagnostics
+
 
 @pytest.fixture(scope="module")
 def yshaped_run(tmp_path_factory):
