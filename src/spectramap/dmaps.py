@@ -263,19 +263,18 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 
 def leading_eigenpairs(apply: Callable[[np.ndarray], np.ndarray], n: int,
-                       k: int, block: int, seed: int = 0,
-                       symmetric: bool = False,
+                       k: int, block: int, symmetric: bool = False,
                        cutoff: Optional[Callable[[float], float]] = None
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Leading eigenpairs, by descending |lambda|, of the n x n operator
     A behind `apply` (an n x b block Q -> A Q).
 
-    Block subspace iteration from a Gaussian start block drawn with
-    `seed`.  Each sweep applies A to the orthonormal basis Q, takes the
-    Ritz pairs (theta, Q y) from the eigenproblem of Q^T A Q (eigh when
-    `symmetric`, eig otherwise; eig may return complex pairs), and
-    orthonormalizes A Q by QR for the next sweep.  It stops when every
-    pair it has to decide on passes
+    Block subspace iteration from a Gaussian start block drawn with a
+    fixed seed, so reruns give the same bits.  Each sweep applies A to
+    the orthonormal basis Q, takes the Ritz pairs (theta, Q y) from the
+    eigenproblem of Q^T A Q (eigh when `symmetric`, eig otherwise; eig
+    may return complex pairs), and orthonormalizes A Q by QR for the
+    next sweep.  It stops when every pair it has to decide on passes
 
         |A v - theta v| <= EIG_TOL * |theta_0| * |v|,
 
@@ -297,7 +296,7 @@ def leading_eigenpairs(apply: Callable[[np.ndarray], np.ndarray], n: int,
     fresh Gaussian columns are appended.  A near-degenerate or slowly
     decaying spectrum thus ends in a larger block, not in the budget.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     b = min(block, n)
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0]
     worst = np.inf
