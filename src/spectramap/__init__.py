@@ -2,7 +2,7 @@
 from vibrational spectra.
 
 Submodules:
-    config     JSON config key checks and spec building
+    config     the config schema: one spec per section, one walker
     dataset    spectra containers, CSV persistence, splits
     pretreat   region filtering, baselines, normalization
     metrics    regression quality metrics

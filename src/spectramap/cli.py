@@ -27,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .altdmaps import fit_altdmaps
-from .config import check_keys, pretreatment_spec, spec_from
+from .config import command_config, n_eig_for, spec_from
 from .dataset import (format_float, load_sizes, load_spectra, save_spectra,
                       write_json)
-from .dmaps import DmapModel, Embed, KernelParams, fit_dmaps, nystrom_extend
+from .dmaps import DmapModel, Embed, fit_dmaps, nystrom_extend
 from .errors import ConfigError, NumericError
 from .metrics import compute_metrics
 from .report import emit_report, jsonable, load_report
@@ -67,13 +67,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("spectra", "sizes", "pretreatment"), "preprocess config")
-    if not isinstance(cfg.get("spectra"), str):
-        raise ConfigError("preprocess config needs a 'spectra' path")
-    dataset = load_spectra(cfg["spectra"], cfg.get("sizes"))
-    spec = pretreatment_spec(cfg.get("pretreatment", {}))
-    treated = apply_pretreatment(dataset, spec)
+    cfg = command_config("preprocess", _load_config(args.config))
+    dataset = load_spectra(cfg.spectra, cfg.sizes)
+    treated = apply_pretreatment(dataset, cfg.pretreatment)
     os.makedirs(args.out, exist_ok=True)
     sizes_path = (os.path.join(args.out, "sizes.csv")
                   if treated.sizes is not None else None)
@@ -83,17 +79,10 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_dmap_fit(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("spectra", "dmaps"), "dmap fit config")
-    if not isinstance(cfg.get("spectra"), str):
-        raise ConfigError("dmap fit config needs a 'spectra' path")
-    dataset = load_spectra(cfg["spectra"])
-    dcfg = cfg.get("dmaps", {})
-    check_keys(dcfg, ("epsilon", "density_normalize", "n_eig"), "dmaps")
-    dcfg = dict(dcfg)
-    n_eig = int(dcfg.pop("n_eig", min(10, dataset.n_samples - 1)))
-    params = spec_from(KernelParams, dcfg, "dmaps")
-    model = fit_dmaps(dataset.intensities, params, n_eig=n_eig)
+    cfg = command_config("dmap fit", _load_config(args.config))
+    dataset = load_spectra(cfg.spectra)
+    n_eig = n_eig_for(cfg.dmaps.n_eig, dataset.n_samples, "dmaps")
+    model = fit_dmaps(dataset.intensities, cfg.dmaps.kernel, n_eig=n_eig)
     save_model(args.out, model)
     print(f"fitted {n_eig} eigenpairs, epsilon={model.epsilon!r}; "
           f"saved to {args.out}")
@@ -101,21 +90,20 @@ def _cmd_dmap_fit(args) -> int:
 
 
 def _cmd_dmap_extend(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("model", "spectra", "indices"), "dmap extend config")
-    for key in ("model", "spectra"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"dmap extend config needs a '{key}' path")
-    model = load_model(cfg["model"])
+    cfg = command_config("dmap extend", _load_config(args.config))
+    model = load_model(cfg.model)
     model = model.dmap if isinstance(model, Embed) else model
     if not isinstance(model, DmapModel):
-        raise ConfigError(f"{cfg['model']} holds {type(model).__name__}, "
+        raise ConfigError(f"{cfg.model} holds {type(model).__name__}, "
                           f"not a diffusion map")
-    dataset = load_spectra(cfg["spectra"])
-    indices = cfg.get("indices")
-    phi = nystrom_extend(model, dataset.intensities,
-                         None if indices is None else tuple(indices))
-    cols = (list(range(model.n_eig)) if indices is None else list(indices))
+    if cfg.indices is not None and not (
+            cfg.indices and all(0 <= i < model.n_eig for i in cfg.indices)):
+        raise ConfigError(f"dmap extend config: indices must be a nonempty "
+                          f"list in [0, {model.n_eig}), "
+                          f"got {list(cfg.indices)}")
+    dataset = load_spectra(cfg.spectra)
+    phi = nystrom_extend(model, dataset.intensities, cfg.indices)
+    cols = range(model.n_eig) if cfg.indices is None else cfg.indices
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id"] + [f"phi_{i}" for i in cols])
@@ -126,24 +114,14 @@ def _cmd_dmap_extend(args) -> int:
 
 
 def _cmd_alt_fit(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("sensor1", "sensor2", "altdmaps"), "alt fit config")
-    for key in ("sensor1", "sensor2"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"alt fit config needs a '{key}' path")
-    s1 = load_spectra(cfg["sensor1"])
-    s2 = load_spectra(cfg["sensor2"])
+    cfg = command_config("alt fit", _load_config(args.config))
+    s1 = load_spectra(cfg.sensor1)
+    s2 = load_spectra(cfg.sensor2)
     if s1.sample_ids != s2.sample_ids:
         raise ConfigError("sensor files disagree on sample ids")
-    acfg = cfg.get("altdmaps", {})
-    check_keys(acfg, ("n_eig", "epsilon1", "epsilon2", "density_normalize"),
-               "altdmaps")
-    p1, p2 = (spec_from(KernelParams,
-                        {"epsilon": acfg.get(key),
-                         "density_normalize": acfg.get("density_normalize", True)},
-                        "altdmaps") for key in ("epsilon1", "epsilon2"))
-    n_eig = int(acfg.get("n_eig", min(10, s1.n_samples - 1)))
-    model = fit_altdmaps(s1.intensities, s2.intensities, p1, p2, n_eig=n_eig)
+    model = fit_altdmaps(s1.intensities, s2.intensities, *cfg.altdmaps.kernels,
+                         n_eig=n_eig_for(cfg.altdmaps.n_eig, s1.n_samples,
+                                         "altdmaps"))
     save_model(args.out, model)
     print(f"saved alternating kernel model to {args.out}")
     return 0
@@ -172,13 +150,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("models", "spectra"), "predict config")
-    for key in ("models", "spectra"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"predict config needs a '{key}' path")
-    pipe = load_pipeline(cfg["models"])
-    dataset = load_spectra(cfg["spectra"])
+    cfg = command_config("predict", _load_config(args.config))
+    pipe = load_pipeline(cfg.models)
+    dataset = load_spectra(cfg.spectra)
     preds = pipeline_predict(pipe, dataset)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -190,13 +164,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("predictions", "sizes"), "evaluate config")
-    for key in ("predictions", "sizes"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"evaluate config needs a '{key}' path")
-    predicted = load_sizes(cfg["predictions"])
-    actual = load_sizes(cfg["sizes"])
+    cfg = command_config("evaluate", _load_config(args.config))
+    predicted = load_sizes(cfg.predictions)
+    actual = load_sizes(cfg.sizes)
     missing = sorted(set(predicted) - set(actual))
     if missing:
         raise ConfigError(f"no actual size for ids {missing[:5]}")
@@ -212,11 +182,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = _load_config(args.config)
-    check_keys(cfg, ("report",), "report config")
-    if not isinstance(cfg.get("report"), str):
-        raise ConfigError("report config needs a 'report' path")
-    report = load_report(cfg["report"])
+    cfg = command_config("report", _load_config(args.config))
+    report = load_report(cfg.report)
     paths = emit_report(report, args.out)
     print(f"wrote {len(paths)} files to {args.out}")
     return 0

@@ -65,8 +65,6 @@ class YShapedSpec:
 
     def __post_init__(self):
         for name in ("encoder_hidden", "decoder_hidden", "head_hidden"):
-            object.__setattr__(self, name,
-                               tuple(int(h) for h in getattr(self, name)))
             if any(h < 1 for h in getattr(self, name)):
                 raise ValueError(f"{name} widths must be positive")
         if self.n_latent < 2:

@@ -106,13 +106,8 @@ class KernelParams:
     density_normalize: bool = True
 
     def __post_init__(self):
-        eps = self.epsilon
-        if eps is not None and (isinstance(eps, bool) or not isinstance(
-                eps, (int, float, np.integer, np.floating)) or not eps > 0):
-            raise ValueError(f"epsilon must be a positive number, got {eps!r}")
-        if not isinstance(self.density_normalize, bool):
-            raise ValueError(f"density_normalize must be true or false, "
-                             f"got {self.density_normalize!r}")
+        if self.epsilon is not None and not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,6 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
         if self.activation not in ("tanh", "relu"):

@@ -41,17 +41,10 @@ class PretreatmentSpec:
         if isinstance(self.region, str):
             if self.region not in ("global", "fingerprint"):
                 raise ValueError(f"unknown region {self.region!r}")
-        else:
-            lo, hi = self.region
-            if not lo < hi:
-                raise ValueError("custom region must have low < high")
-            object.__setattr__(self, "region", (float(lo), float(hi)))
-        excl = []
-        for lo, hi in self.exclusions:
-            if not lo < hi:
-                raise ValueError("exclusion band must have low < high")
-            excl.append((float(lo), float(hi)))
-        object.__setattr__(self, "exclusions", tuple(excl))
+        elif not self.region[0] < self.region[1]:
+            raise ValueError("custom region must have low < high")
+        if any(not lo < hi for lo, hi in self.exclusions):
+            raise ValueError("exclusion band must have low < high")
         if self.baseline not in ("none", "linear_fit", "rubber_band"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if self.normalization not in ("none", "snv", "minmax"):

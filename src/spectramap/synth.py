@@ -26,23 +26,74 @@ spec reproduces the same dataset bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from .dataset import SpectraSet, WavenumberGrid
 from .ihm import ComponentModel, HardModel, Peak, hard_model_eval
 
-KINDS = ("arc_manifold", "two_sensor_common", "peak_spectra")
+
+@dataclass(frozen=True)
+class ArcParams:
+    """`params` of `arc_manifold`."""
+
+    ambient_dim: int = 5
+    radius: float = 1.0
+    span: float = 1.5 * np.pi
+
+    def __post_init__(self):
+        if self.ambient_dim < 2:
+            raise ValueError("ambient_dim must be at least 2")
+
+
+@dataclass(frozen=True)
+class TwoSensorParams:
+    """`params` of `two_sensor_common`."""
+
+    ambient_dim1: int = 6
+    ambient_dim2: int = 6
+    alpha: float = 1.3
+
+    def __post_init__(self):
+        if min(self.ambient_dim1, self.ambient_dim2) < 4:
+            raise ValueError("ambient dims must be at least 4")
+
+
+@dataclass(frozen=True)
+class PeakParams:
+    """`params` of `peak_spectra`; grid None is 850-1800 cm^-1 in steps
+    of 2."""
+
+    size_min: float = 208.0
+    size_max: float = 483.0
+    coupling: float = 1.0
+    mode: str = "width"
+    grid: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if not self.size_min < self.size_max:
+            raise ValueError("need size_min < size_max")
+        if self.mode not in ("width", "linear"):
+            raise ValueError(f"unknown coupling mode {self.mode!r}")
+
+
+PARAMS = {"arc_manifold": ArcParams, "two_sensor_common": TwoSensorParams,
+          "peak_spectra": PeakParams}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """`params` is the kind's spec in PARAMS; a dict of its fields is
+    turned into it."""
+
     kind: str
     n_samples: int = 200
     noise: float = 0.0
     seed: int = 0
-    params: dict = field(default_factory=dict)
+    params: Union[ArcParams, TwoSensorParams, PeakParams, dict] = field(
+        default_factory=dict, metadata={"spec_by": ("kind", PARAMS)})
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -51,6 +102,9 @@ class SynthSpec:
             raise ValueError("need at least 10 samples")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
+        if isinstance(self.params, dict):
+            object.__setattr__(self, "params",
+                               PARAMS[self.kind](**self.params))
 
 
 def _orthonormal_lift(rng, ambient: int, intrinsic: int) -> np.ndarray:
@@ -65,12 +119,8 @@ def _ids(n: int) -> Tuple[str, ...]:
 
 def _arc_manifold(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
     p = spec.params
-    ambient = int(p.get("ambient_dim", 5))
-    radius = float(p.get("radius", 1.0))
-    span = float(p.get("span", 1.5 * np.pi))
-    if ambient < 2:
-        raise ValueError("ambient_dim must be at least 2")
-    t = np.sort(rng.uniform(0.0, span, size=spec.n_samples))
+    ambient, radius = p.ambient_dim, p.radius
+    t = np.sort(rng.uniform(0.0, p.span, size=spec.n_samples))
     planar = radius * np.column_stack([np.cos(t), np.sin(t)])
     Q = _orthonormal_lift(rng, ambient, 2)
     X = planar @ Q.T
@@ -85,11 +135,7 @@ def _arc_manifold(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
 
 def _two_sensor_common(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
     p = spec.params
-    d1 = int(p.get("ambient_dim1", 6))
-    d2 = int(p.get("ambient_dim2", 6))
-    alpha = float(p.get("alpha", 1.3))
-    if min(d1, d2) < 4:
-        raise ValueError("ambient dims must be at least 4")
+    d1, d2, alpha = p.ambient_dim1, p.ambient_dim2, p.alpha
     n = spec.n_samples
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     nuis1 = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -112,16 +158,9 @@ def _two_sensor_common(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
 
 def _peak_spectra(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
     p = spec.params
-    size_min = float(p.get("size_min", 208.0))
-    size_max = float(p.get("size_max", 483.0))
-    coupling = float(p.get("coupling", 1.0))
-    mode = p.get("mode", "width")
-    if not size_min < size_max:
-        raise ValueError("need size_min < size_max")
-    if mode not in ("width", "linear"):
-        raise ValueError(f"unknown coupling mode {mode!r}")
-    grid = np.asarray(p.get("grid", np.arange(850.0, 1801.0, 2.0)),
-                      dtype=float)
+    size_min, size_max, coupling = p.size_min, p.size_max, p.coupling
+    grid = (np.arange(850.0, 1801.0, 2.0) if p.grid is None
+            else np.asarray(p.grid, dtype=float))
     n = spec.n_samples
     sizes = rng.uniform(size_min, size_max, size=n)
     z = (sizes - size_min) / (size_max - size_min)
@@ -135,7 +174,7 @@ def _peak_spectra(spec: SynthSpec, rng) -> Tuple[SpectraSet, Dict]:
         return HardModel((comp,), (1.0,),
                          (0.05 + 0.15 * coupling * zi, 0.0))
 
-    if mode == "width":
+    if p.mode == "width":
         X = np.vstack([hard_model_eval(model_at(zi), grid) for zi in z])
     else:
         lo = hard_model_eval(model_at(0.0), grid)

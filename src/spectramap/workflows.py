@@ -7,26 +7,8 @@ both splits fold that tuple over the spectra, as `pipeline_predict`
 does with the persisted models.  Rerunning the same config produces
 byte-identical reports and model files.
 
-Config layout (each workflow reads only the sections it needs; unknown
-keys anywhere are rejected):
-
-    {
-      "workflow": "direct_dmaps_nn",       # see WORKFLOW_NAMES
-      "seed": 0,                           # default for every sub-seed
-      "data": {"spectra": "x.csv", "sizes": "y.csv"},   # or {"synth": {...}}
-      "pretreatment": {"region": "global", "baseline": "none",
-                       "normalization": "none", "exclusions": []},
-      "split": {"test_fraction": 0.25, "seed": 0},
-      "dmaps": {"epsilon": null, "density_normalize": true, "n_eig": 10,
-                "coords": "llr", "llr_threshold": 0.5},
-      "regressor": {...},                  # MlpSpec or GbtSpec fields
-      "altdmaps": {"n_eig": 10, "n_alt_coords": 6, "alt_regressor": "gh",
-                   "size_regressor": "nn", ...},
-      "yshaped": {...},                    # YShapedSpec fields
-      "pls": {"k_max": 10, "folds": 5, "zscore": true},
-      "ihm": {"model_json": "peaks.json", "mode": "medium"},
-      "out_dir": "runs/exp1"               # optional; enables model persistence
-    }
+The README tables the config's sections, keys, types, defaults and
+ranges; `run_workflow` checks a whole config before it loads any data.
 """
 
 from __future__ import annotations
@@ -39,38 +21,35 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .altdmaps import alt_coordinates, fit_altdmaps
-from .conformal import (YShapedModel, YShapedSpec, decode, encode,
-                        orthogonality_score, predict_size, yae_fit)
-from .config import check_keys, pretreatment_spec, require, spec_from
+from .conformal import (YShapedModel, decode, encode, orthogonality_score,
+                        predict_size, yae_fit)
+from .config import (FROM_DATA, WORKFLOW_NAMES, RunConfig, n_eig_for,
+                     require, spec_from)
 from .dataset import SpectraSet, load_spectra, train_test_split, write_json
-from .dmaps import (Embed, GhModel, KernelParams, fit_dmaps, gh_fit,
-                    gh_predict, local_linear_residual, nystrom_extend)
-from .errors import ConfigError, NumericError
-from .gbt import GbtModel, GbtSpec, gbt_fit, gbt_predict
+from .dmaps import (Embed, GhModel, fit_dmaps, gh_fit, gh_predict,
+                    local_linear_residual, nystrom_extend)
+from .errors import NumericError
+from .gbt import GbtModel, gbt_fit, gbt_predict
 from .ihm import IhmFeatures, ihm_features, load_hard_model
 from .metrics import compute_metrics
 from .mlp import MlpModel, MlpSpec, mlp_fit, mlp_predict
 from .pls import PlsModel, pls_choose_components, pls_fit, pls_predict
-from .pretreat import (ColumnScaler, apply_column_scaler, apply_pretreatment,
-                       fit_column_scaler)
+from .pretreat import (ColumnScaler, PretreatmentSpec, apply_column_scaler,
+                       apply_pretreatment, fit_column_scaler)
 from .report import ParityRow, RunReport, config_hash
 from .serialize import is_plain_name, load_model, save_model
-from .synth import SynthSpec, synth_generate
+from .synth import synth_generate
 
-_TOP_KEYS = frozenset({"workflow", "seed", "data", "pretreatment", "split",
-                       "dmaps", "regressor", "altdmaps", "yshaped", "pls",
-                       "ihm", "out_dir"})
 _MANIFEST_FILE = "manifest.json"
-
-
-def _top_seed(config: dict) -> int:
-    return int(config.get("seed", 0))
 
 
 @dataclass(frozen=True)
 class RunContext:
-    """Loaded data plus the fixed split, pretreated per side."""
+    """The config as given and as checked, the loaded data, and the
+    fixed split, pretreated per side."""
 
+    config: dict
+    spec: RunConfig
     raw: SpectraSet
     train: SpectraSet
     test: SpectraSet
@@ -78,34 +57,22 @@ class RunContext:
     test_idx: np.ndarray
 
 
-def _prepare(config: dict) -> RunContext:
-    require(isinstance(config, dict), "config must be a mapping")
-    check_keys(config, _TOP_KEYS, "config")
-    data = config.get("data")
-    require(isinstance(data, dict), "config needs a 'data' section")
-    if "synth" in data:
-        check_keys(data, ("synth",), "data")
-        spec = spec_from(SynthSpec, data["synth"], "data.synth",
-                         seed=_top_seed(config))
-        ds, _ = synth_generate(spec)
+def _prepare(config: dict, spec: RunConfig) -> RunContext:
+    if spec.data.synth is not None:
+        ds, _ = synth_generate(spec.data.synth)
     else:
-        check_keys(data, ("spectra", "sizes"), "data")
-        require(isinstance(data.get("spectra"), str),
-                "data.spectra must be a file path")
-        ds = load_spectra(data["spectra"], data.get("sizes"))
-    require(ds.sizes is not None, "workflow needs size targets")
+        ds = load_spectra(spec.data.spectra, spec.data.sizes)
+    split = spec.split
+    n_test = max(1, int(round(split.test_fraction * ds.n_samples)))
+    require(ds.n_samples - n_test >= 4,
+            f"split: test_fraction {split.test_fraction!r} leaves "
+            f"{ds.n_samples - n_test} of {ds.n_samples} rows for training; "
+            f"at least 4 are needed")
+    train_raw, test_raw, train_idx, test_idx = train_test_split(
+        ds, n_test, split.seed)
 
-    split = config.get("split", {})
-    check_keys(split, ("test_fraction", "seed"), "split")
-    frac = float(split.get("test_fraction", 0.25))
-    require(0.0 < frac < 1.0, "split.test_fraction must lie in (0, 1)")
-    n_test = max(1, int(round(frac * ds.n_samples)))
-    require(ds.n_samples - n_test >= 4, "split leaves too few training rows")
-    seed = int(split.get("seed", _top_seed(config)))
-    train_raw, test_raw, train_idx, test_idx = train_test_split(ds, n_test, seed)
-
-    pre = pretreatment_spec(config.get("pretreatment", {}))
-    return RunContext(raw=ds,
+    pre = spec.pretreatment
+    return RunContext(config=config, spec=spec, raw=ds,
                       train=apply_pretreatment(train_raw, pre),
                       test=apply_pretreatment(test_raw, pre),
                       train_idx=train_idx, test_idx=test_idx)
@@ -176,39 +143,26 @@ class _Chain:
                                             _apply_stage(stage, self.test))
 
 
-def _embed(config: dict, ctx: RunContext) -> Tuple[Embed, np.ndarray]:
+def _embed(ctx: RunContext) -> Tuple[Embed, np.ndarray]:
     """The embedding stage and the LLR residuals of its columns (ones
     when the coordinates are not chosen by LLR)."""
-    cfg = config.get("dmaps", {})
-    check_keys(cfg, ("epsilon", "density_normalize", "n_eig", "coords",
-                     "llr_threshold"), "dmaps")
-    n_train = ctx.train.n_samples
-    n_eig = int(cfg.get("n_eig", min(10, n_train - 1)))
-    eps = cfg.get("epsilon")
-    params = spec_from(KernelParams,
-                       {"epsilon": eps,
-                        "density_normalize": cfg.get("density_normalize", True)},
-                       "dmaps")
-    model = fit_dmaps(ctx.train.intensities, params, n_eig=n_eig)
-
-    coords = cfg.get("coords", "llr")
-    if coords == "all":
-        indices = tuple(range(1, model.n_eig))
-    elif coords == "llr":
-        require(model.n_eig >= 3, "llr selection needs n_eig >= 3")
+    spec = ctx.spec.dmaps
+    n_eig = n_eig_for(spec.n_eig, ctx.train.n_samples, "dmaps")
+    if not isinstance(spec.coords, str):
+        require(max(spec.coords) < n_eig,
+                f"dmaps: coords must lie in [1, {n_eig}), "
+                f"got {list(spec.coords)}")
+    model = fit_dmaps(ctx.train.intensities, spec.kernel, n_eig=n_eig)
+    if spec.coords == "llr":
         llr = local_linear_residual(model.eigenvectors[:, 1:],
-                                    threshold=float(cfg.get("llr_threshold", 0.5)))
+                                    threshold=spec.llr_threshold)
+        require(len(llr.indices) > 0,
+                f"dmaps: llr_threshold {spec.llr_threshold!r} selects no "
+                f"coordinate; the largest residual is "
+                f"{float(llr.residuals.max()):.4g}")
         return (Embed(dmap=model, indices=tuple(i + 1 for i in llr.indices)),
                 llr.residuals)
-    elif isinstance(coords, list):
-        require(len(coords) > 0, "dmaps.coords list is empty")
-        indices = tuple(int(i) for i in coords)
-        require(len(set(indices)) == len(indices), "duplicate dmaps.coords")
-        require(all(1 <= i < model.n_eig for i in indices),
-                "dmaps.coords indices must lie in [1, n_eig)")
-    else:
-        raise ConfigError(f"dmaps.coords must be 'llr', 'all' or a list, "
-                          f"got {coords!r}")
+    indices = tuple(range(1, n_eig)) if spec.coords == "all" else spec.coords
     return Embed(dmap=model, indices=indices), np.ones(len(indices))
 
 
@@ -223,42 +177,37 @@ def _embedded_chain(ctx: RunContext, embed: Embed):
                    "selected_coordinates": list(embed.indices)}
 
 
-def _head_fit(kind: str, cfg: dict, X: np.ndarray, y: np.ndarray, seed: int):
+def _head_fit(spec, X: np.ndarray, y: np.ndarray):
     """Fit a size (or coordinate) regressor; y may be 1-D or (n, k)."""
-    if kind == "nn":
-        return mlp_fit(X, y, spec_from(MlpSpec, cfg, "regressor", seed=seed))
-    if kind == "gbt":
-        spec = spec_from(GbtSpec, cfg, "regressor", seed=seed)
-        Y = np.asarray(y, dtype=float)
-        if Y.ndim == 2:
-            return [gbt_fit(X, Y[:, j], spec) for j in range(Y.shape[1])]
-        return gbt_fit(X, Y, spec)
-    raise ConfigError(f"unknown regressor kind {kind!r}")
+    if isinstance(spec, MlpSpec):
+        return mlp_fit(X, y, spec)
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim == 2:
+        return [gbt_fit(X, Y[:, j], spec) for j in range(Y.shape[1])]
+    return gbt_fit(X, Y, spec)
 
 
-def _persist(config: dict, ctx: RunContext,
-             stages: Dict[str, object]) -> None:
+def _persist(ctx: RunContext, stages: Dict[str, object]) -> None:
     """Save one directory per prediction stage under out_dir/models plus
     a manifest naming those stages in order; no-op without an out_dir."""
-    out_dir = config.get("out_dir")
-    if not out_dir:
+    if not ctx.spec.out_dir:
         return
-    base = os.path.join(os.fspath(out_dir), "models")
+    base = os.path.join(ctx.spec.out_dir, "models")
     for name, stage in stages.items():
         save_model(os.path.join(base, name), stage)
-    manifest = {"workflow": config["workflow"],
-                "config_hash": config_hash(config),
-                "pretreatment": config.get("pretreatment", {}),
+    manifest = {"workflow": ctx.spec.workflow,
+                "config_hash": config_hash(ctx.config),
+                "pretreatment": ctx.config.get("pretreatment", {}),
                 "grid": ctx.train.grid.values.tolist(),
                 "stages": list(stages)}
     write_json(os.path.join(base, _MANIFEST_FILE), manifest)
 
 
-def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
+def _finish(ctx: RunContext, chain: _Chain, latent_count: int,
             diagnostics: dict, loss_history=None) -> RunReport:
     """Persist the chain's models and report its predictions on both
     splits."""
-    _persist(config, ctx, chain.stages)
+    _persist(ctx, chain.stages)
     diagnostics["intensity_clusters"] = _cluster_diag(ctx)
     y_tr, y_te = ctx.train.sizes, ctx.test.sizes
     parity = tuple(
@@ -266,8 +215,8 @@ def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
          for sid, a, p in zip(ctx.train.sample_ids, y_tr, chain.train)]
         + [ParityRow(sid, float(a), float(p), "test")
            for sid, a, p in zip(ctx.test.sample_ids, y_te, chain.test)])
-    return RunReport(workflow=config["workflow"],
-                     config_hash=config_hash(config),
+    return RunReport(workflow=ctx.spec.workflow,
+                     config_hash=config_hash(ctx.config),
                      train_metrics=compute_metrics(chain.train, y_tr),
                      test_metrics=compute_metrics(chain.test, y_te),
                      latent_count=int(latent_count),
@@ -276,70 +225,50 @@ def _finish(config: dict, ctx: RunContext, chain: _Chain, latent_count: int,
                      loss_history=loss_history)
 
 
-def _run_direct(config: dict, ctx: RunContext) -> RunReport:
+def _run_direct(ctx: RunContext) -> RunReport:
     """Size straight from the spectral embedding coordinates."""
-    kind = {"direct_dmaps_nn": "nn", "direct_dmaps_gbt": "gbt"}[config["workflow"]]
-    embed, residuals = _embed(config, ctx)
+    embed, residuals = _embed(ctx)
     chain, diagnostics = _embedded_chain(ctx, embed)
     diagnostics["llr_residuals"] = residuals
-    chain.add("size_regressor",
-              _head_fit(kind, config.get("regressor", {}), embed.phi_train,
-                        ctx.train.sizes, _top_seed(config)))
-    return _finish(config, ctx, chain, len(embed.indices), diagnostics)
+    chain.add("size_regressor", _head_fit(ctx.spec.regressor,
+                                          embed.phi_train, ctx.train.sizes))
+    return _finish(ctx, chain, len(embed.indices), diagnostics)
 
 
-def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
+def _run_altdmaps(ctx: RunContext) -> RunReport:
     """Offline, find the variable common to the spectral embedding and
     the sizes; online, Nystrom coordinates for new spectra, regress the
     common coordinates from them, then the size from the common ones."""
-    embed, residuals = _embed(config, ctx)
-    cfg = config.get("altdmaps", {})
-    check_keys(cfg, ("n_eig", "n_alt_coords", "epsilon1", "epsilon2",
-                     "density_normalize", "llr_threshold", "gh_delta",
-                     "alt_regressor", "size_regressor",
-                     "alt_regressor_config", "size_regressor_config"),
-               "altdmaps")
-    n_eig = int(cfg.get("n_eig", min(10, ctx.train.n_samples - 1)))
-    p1, p2 = (spec_from(KernelParams,
-                        {"epsilon": cfg.get(key),
-                         "density_normalize": cfg.get("density_normalize", True)},
-                        "altdmaps") for key in ("epsilon1", "epsilon2"))
+    embed, residuals = _embed(ctx)
+    spec = ctx.spec.altdmaps
     phi = embed.phi_train
     alt = fit_altdmaps(phi, np.asarray(ctx.train.sizes, dtype=float)[:, None],
-                       p1, p2, n_eig=n_eig)
-    require(alt.eigenvalues.size >= 3, "altdmaps.n_eig must be >= 3")
+                       *spec.kernels,
+                       n_eig=n_eig_for(spec.n_eig, ctx.train.n_samples,
+                                       "altdmaps"))
     llr = local_linear_residual(alt.eigenvectors[:, 1:],
-                                threshold=float(cfg.get("llr_threshold", 0.5)))
-    seed = _top_seed(config)
+                                threshold=spec.llr_threshold)
     chain, diagnostics = _embedded_chain(ctx, embed)
     diagnostics["llr_residuals"] = residuals
 
     n_alt_max = alt.eigenvalues.size - 1
-    n_alt = int(cfg.get("n_alt_coords", min(6, n_alt_max)))
-    require(1 <= n_alt <= n_alt_max,
-            f"altdmaps.n_alt_coords must lie in [1, {n_alt_max}]")
+    n_alt = (min(6, n_alt_max) if spec.n_alt_coords is FROM_DATA
+             else spec.n_alt_coords)
+    require(n_alt <= n_alt_max,
+            f"altdmaps: n_alt_coords must lie in [1, {n_alt_max}], "
+            f"got {n_alt}")
     alt_idx = tuple(range(1, n_alt + 1))
     psi_tr = alt_coordinates(alt, alt_idx)
 
-    alt_kind = cfg.get("alt_regressor", "gh")
-    if alt_kind == "gh":
-        f_alt = gh_fit(phi, psi_tr, params=KernelParams(),
-                       delta=float(cfg.get("gh_delta", 1e-3)))
+    if spec.alt_regressor == "gh":
+        f_alt = gh_fit(phi, psi_tr, delta=spec.gh_delta)
         diagnostics["gh_harmonics"] = f_alt.dmap.n_eig
-    elif alt_kind == "gbt":
-        f_alt = _head_fit("gbt", cfg.get("alt_regressor_config", {}),
-                          phi, psi_tr, seed)
     else:
-        raise ConfigError(f"altdmaps.alt_regressor must be 'gh' or 'gbt', "
-                          f"got {alt_kind!r}")
+        f_alt = _head_fit(spec.alt_regressor_config, phi, psi_tr)
     chain.add("alt_regressor", f_alt)
     psi_hat_tr = chain.train
 
-    size_kind = cfg.get("size_regressor", "nn")
-    require(size_kind in ("nn", "gbt"),
-            f"altdmaps.size_regressor must be 'nn' or 'gbt', got {size_kind!r}")
-    f_size = _head_fit(size_kind, cfg.get("size_regressor_config", {}),
-                       psi_tr, ctx.train.sizes, seed)
+    f_size = _head_fit(spec.size_regressor_config, psi_tr, ctx.train.sizes)
     chain.add("size_regressor", f_size)
 
     y_tr = ctx.train.sizes
@@ -353,47 +282,41 @@ def _run_altdmaps(config: dict, ctx: RunContext) -> RunReport:
             compute_metrics(_apply_stage(f_size, psi_tr), y_tr).r2,
         "size_r2_predicted_alt_train": compute_metrics(chain.train, y_tr).r2,
     })
-    return _finish(config, ctx, chain, n_alt, diagnostics)
+    return _finish(ctx, chain, n_alt, diagnostics)
 
 
-def _run_yshaped(config: dict, ctx: RunContext) -> RunReport:
+def _run_yshaped(ctx: RunContext) -> RunReport:
     """Embedding, then the conformal autoencoder whose first latent
     coordinate carries the size."""
-    embed, residuals = _embed(config, ctx)
+    embed, residuals = _embed(ctx)
     chain, diagnostics = _embedded_chain(ctx, embed)
     diagnostics["llr_residuals"] = residuals
-    spec = spec_from(YShapedSpec, config.get("yshaped", {}), "yshaped",
-                     seed=_top_seed(config))
     phi = embed.phi_train
-    model, history = yae_fit(phi, ctx.train.sizes, spec)
+    model, history = yae_fit(phi, ctx.train.sizes, ctx.spec.yshaped)
     chain.add("yae", model)
     recon = decode(model, encode(model, phi))
     diagnostics["reconstruction_l2"] = float(np.linalg.norm(recon - phi)
                                              / np.linalg.norm(phi))
     diagnostics["orthogonality"] = orthogonality_score(model, phi)
     # one latent coordinate feeds the size head
-    return _finish(config, ctx, chain, 1, diagnostics,
+    return _finish(ctx, chain, 1, diagnostics,
                    loss_history=tuple(history))
 
 
-def _run_pls(config: dict, ctx: RunContext) -> RunReport:
+def _run_pls(ctx: RunContext) -> RunReport:
     """Latent-variable linear benchmark, optionally on peak-fit
     parameters instead of raw intensities."""
-    cfg = config.get("pls", {})
-    check_keys(cfg, ("k_max", "folds", "seed", "zscore"), "pls")
+    spec = ctx.spec.pls
     chain = _Chain(ctx)
     diagnostics: dict = {}
-    if config["workflow"] == "ihm_pls":
-        icfg = config.get("ihm", {})
-        check_keys(icfg, ("model_json", "mode", "position_bound",
-                          "max_iterations"), "ihm")
-        require(isinstance(icfg.get("model_json"), str),
-                "ihm.model_json must be a file path")
-        ihm = IhmFeatures(base=load_hard_model(icfg["model_json"]),
+    if ctx.spec.workflow == "ihm_pls":
+        icfg = ctx.spec.ihm
+        # float(): the saved stage has always held a float bound
+        ihm = IhmFeatures(base=load_hard_model(icfg.model_json),
                           wavenumbers=ctx.train.grid.values,
-                          mode=icfg.get("mode", "medium"),
-                          position_bound=float(icfg.get("position_bound", 5.0)),
-                          max_iterations=int(icfg.get("max_iterations", 200)))
+                          mode=icfg.mode,
+                          position_bound=float(icfg.position_bound),
+                          max_iterations=icfg.max_iterations)
         F_tr, unc_tr, sse_tr, why_tr = ihm_features(ihm,
                                                     ctx.train.intensities)
         F_te, unc_te, sse_te, why_te = ihm_features(ihm,
@@ -407,8 +330,7 @@ def _run_pls(config: dict, ctx: RunContext) -> RunReport:
                             "ihm_mean_sse_test": sse_te})
 
     try:
-        scaler, Z_tr = fit_column_scaler(chain.train,
-                                         bool(cfg.get("zscore", True)))
+        scaler, Z_tr = fit_column_scaler(chain.train, spec.zscore)
     except ValueError as e:
         raise NumericError(str(e)) from e
     chain.add("scaler", scaler)
@@ -416,41 +338,42 @@ def _run_pls(config: dict, ctx: RunContext) -> RunReport:
 
     n_train = ctx.train.n_samples
     k_cap = min(n_train - 2, Z_tr.shape[1])
-    k_max = int(cfg.get("k_max", min(10, k_cap)))
-    require(1 <= k_max <= k_cap, f"pls.k_max must lie in [1, {k_cap}]")
-    folds = int(cfg.get("folds", 5))
-    seed = int(cfg.get("seed", _top_seed(config)))
+    k_max = min(10, k_cap) if spec.k_max is FROM_DATA else spec.k_max
+    require(k_max <= k_cap,
+            f"pls: k_max must lie in [1, {k_cap}], got {k_max}")
+    require(spec.folds <= n_train, f"pls: folds must lie in [2, {n_train}] "
+                                   f"(the training rows), got {spec.folds}")
     y_tr = ctx.train.sizes
-    k, cv_mse = pls_choose_components(Z_tr, y_tr, k_max, folds=folds, seed=seed)
+    k, cv_mse = pls_choose_components(Z_tr, y_tr, k_max, folds=spec.folds,
+                                      seed=spec.seed)
     chain.add("pls", pls_fit(Z_tr, y_tr, k))
     diagnostics["pls_components"] = k
     diagnostics["pls_cv_mse"] = cv_mse
-    return _finish(config, ctx, chain, k, diagnostics)
+    return _finish(ctx, chain, k, diagnostics)
 
 
 _RUNNERS = {"direct_dmaps_nn": _run_direct, "direct_dmaps_gbt": _run_direct,
             "altdmaps": _run_altdmaps, "yshaped": _run_yshaped,
             "pls_direct": _run_pls, "ihm_pls": _run_pls}
-WORKFLOW_NAMES = tuple(_RUNNERS)
 
 
 def run_workflow(config: dict) -> RunReport:
-    """Dispatch on config["workflow"]; see WORKFLOW_NAMES."""
-    require(isinstance(config, dict), "config must be a mapping")
-    workflow = config.get("workflow")
-    require(workflow in WORKFLOW_NAMES,
-            f"workflow must be one of {list(WORKFLOW_NAMES)}, got {workflow!r}")
-    return _RUNNERS[workflow](config, _prepare(config))
+    """Check the whole config, then load the data and run
+    config["workflow"] (one of WORKFLOW_NAMES)."""
+    spec = spec_from(RunConfig, config, "config")
+    return _RUNNERS[spec.workflow](_prepare(config, spec))
 
 
 @dataclass(frozen=True)
 class Pipeline:
     """Fitted stages in prediction order, the manifest they were saved
-    with, and the post-pretreatment training wavenumber grid."""
+    with, its pretreatment and the post-pretreatment training wavenumber
+    grid."""
 
     manifest: dict
     stages: Tuple[object, ...]
     grid: np.ndarray
+    pretreatment: PretreatmentSpec
 
 
 def load_pipeline(models_dir) -> Pipeline:
@@ -466,14 +389,16 @@ def load_pipeline(models_dir) -> Pipeline:
     stages = tuple(load_model(os.path.join(models_dir, name))
                    for name in manifest["stages"])
     return Pipeline(manifest=manifest, stages=stages,
-                    grid=np.asarray(manifest["grid"], dtype=float))
+                    grid=np.asarray(manifest["grid"], dtype=float),
+                    pretreatment=spec_from(PretreatmentSpec,
+                                           manifest.get("pretreatment", {}),
+                                           "pretreatment"))
 
 
 def pipeline_predict(pipe: Pipeline, spectra: SpectraSet) -> np.ndarray:
     """Predict sizes for new spectra with a persisted workflow.  The
     pretreated spectra must lie on exactly the training grid."""
-    pre = pretreatment_spec(pipe.manifest.get("pretreatment", {}))
-    ds = apply_pretreatment(spectra, pre)
+    ds = apply_pretreatment(spectra, pipe.pretreatment)
     grid = ds.grid.values
     require(np.array_equal(grid, pipe.grid),
             f"spectra are not on the training wavenumber grid: after "
