@@ -327,3 +327,61 @@ def test_pinned_noisy_medium_fit():
             1479.9817743795263]
     np.testing.assert_allclose(extract_parameters(res.model, "medium"),
                                want, rtol=1e-12, atol=0)
+
+
+PIN_TEMPLATES = {
+    "three_peaks": HardModel(
+        (ComponentModel("synthetic", (Peak(998.0, 2.0, 0.5, 16.0),
+                                      Peak(1253.0, 1.3, 0.5, 23.0),
+                                      Peak(1602.0, 2.6, 0.5, 13.0))),),
+        (1.0,), (0.0, 0.0)),
+    # split peaks: medium fits stop on xtol and ftol, high ones run out
+    "two_components_five_peaks": HardModel(
+        (ComponentModel("low", (Peak(988.0, 1.0, 0.6, 10.0),
+                                Peak(1012.0, 1.0, 0.6, 10.0),
+                                Peak(1248.0, 1.3, 0.4, 20.0))),
+         ComponentModel("high", (Peak(1588.0, 1.3, 0.5, 10.0),
+                                 Peak(1612.0, 1.3, 0.5, 10.0)))),
+        (1.0, 1.0), (0.0, 0.0)),
+}
+
+
+def pinned_fits():
+    """Every fit, feature row and model evaluation that
+    tests/data/ihm_fits.json holds, computed by the current code."""
+    from spectramap.ihm import IhmFeatures, ihm_features
+    from spectramap.synth import SynthSpec, synth_generate
+    ds, _ = synth_generate(SynthSpec(kind="peak_spectra", n_samples=20,
+                                     noise=0.01, seed=11))
+    grid = ds.grid.values
+    out = {}
+    for name, template in PIN_TEMPLATES.items():
+        out[f"{name}/eval"] = hard_model_eval(template, grid).tolist()
+        for mode in MODES:
+            fits = []
+            for x in ds.intensities:
+                res = fit_hard_model(template, grid, x, mode)
+                fits.append({"row": extract_parameters(res.model,
+                                                       mode).tolist(),
+                             "sse": res.sse, "n_iterations": res.n_iterations,
+                             "reason": res.reason})
+            stage = IhmFeatures(template, grid, mode, 5.0, 200)
+            assert ihm_features(stage, ds.intensities)[0].tolist() \
+                == [f["row"] for f in fits]
+            out[f"{name}/{mode}"] = fits
+    return out
+
+
+def test_fits_and_evaluations_equal_the_pinned_bits():
+    # tests/data/ihm_fits.json was written by pinned_fits() before the
+    # evaluator and the parameter walk were rewritten; JSON keeps every
+    # float's repr, so == compares bits
+    import json
+    import os
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "ihm_fits.json")) as fh:
+        want = json.load(fh)
+    got = pinned_fits()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
