@@ -9,14 +9,18 @@ component a sum of peaks.  A peak is amplitude-parameterized:
 so both line shapes peak at 1 and halve at u = +-1, making hwhm a true
 half-width at half maximum for any shape fraction.
 
+Evaluation and fitting share one layout per (model, mode), made by one
+walk over components and peaks: the (n_peaks, 4) table of (position,
+intensity, shape, hwhm), each peak's component, and the free parameters
+theta = (offset, slope, component weights, the table's first k columns
+row by row), k = 1 (positions) in "medium" mode and 4 in "high" mode.
+All peaks are evaluated at once, each component summed in peak order.
+
 Fitting is damped Gauss-Newton (Levenberg-Marquardt with Marquardt's
-diag(J'J) scaling) over exactly the free parameters of the chosen mode:
-"medium" frees baseline, component weights, and peak positions; "high"
-frees baseline, weights, and all four parameters of every peak.
-Positions are box-bounded around their initial values and the other
-parameters are projected onto their physical ranges after every trial
-step, so accepted steps never leave the feasible set and the SSE is
-non-increasing by construction.
+diag(J'J) scaling) over theta.  Positions are box-bounded around their
+initial values and the other parameters are projected onto their
+physical ranges after every trial step, so accepted steps never leave
+the feasible set and the SSE is non-increasing by construction.
 
 The stopping tests are MINPACK's relative ones (More, "The
 Levenberg-Marquardt algorithm: implementation and theory", 1978), with
@@ -42,8 +46,9 @@ parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -130,6 +135,7 @@ class FitResult:
     sse: float
     n_iterations: int
     reason: str  # one of CONVERGED_REASONS, "lambda_max", "max_iterations"
+    parameters: np.ndarray = field(compare=False)  # theta of model
 
     @property
     def converged(self) -> bool:
@@ -137,144 +143,115 @@ class FitResult:
 
 
 def pseudo_voigt_eval(peak: Peak, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    u = (grid - peak.position) / peak.hwhm
-    gauss = np.exp(-LN2 * u * u)
-    lorentz = 1.0 / (1.0 + u * u)
-    return peak.intensity * (peak.shape * gauss + (1.0 - peak.shape) * lorentz)
+    return component_eval(ComponentModel("peak", (peak,)), grid)
 
 
 def component_eval(component: ComponentModel, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    out = np.zeros_like(grid)
-    for peak in component.peaks:
-        out += pseudo_voigt_eval(peak, grid)
-    return out
+    return hard_model_eval(HardModel((component,), (1.0,), (0.0, 0.0)), grid)
 
 
 def hard_model_eval(model: HardModel, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    out = model.baseline[0] + model.baseline[1] * grid
-    for comp, weight in zip(model.components, model.weights):
-        out += weight * component_eval(comp, grid)
-    return out
+    lay = _layout(model, "medium")
+    return _evaluate(lay, lay.theta, np.asarray(grid, dtype=float))
 
 
 def n_free_parameters(model: HardModel, mode: str) -> int:
-    _check_mode(mode)
-    n_peaks = sum(len(c.peaks) for c in model.components)
-    per_peak = 1 if mode == "medium" else 4
-    return 2 + len(model.components) + per_peak * n_peaks
+    return _layout(model, mode).theta.size
 
 
 def extract_parameters(model: HardModel, mode: str) -> np.ndarray:
-    """Flatten the mode's free parameters.  Order: baseline offset,
-    slope, component weights in component order, then per component and
-    peak either the position (medium) or (position, intensity, shape,
-    hwhm) (high)."""
-    _check_mode(mode)
-    out = [model.baseline[0], model.baseline[1], *model.weights]
-    for comp in model.components:
-        for p in comp.peaks:
-            if mode == "medium":
-                out.append(p.position)
-            else:
-                out.extend((p.position, p.intensity, p.shape, p.hwhm))
-    return np.array(out, dtype=float)
+    """The mode's free parameters theta (see the module docstring)."""
+    return _layout(model, mode).theta
 
 
 def rebuild_model(template: HardModel, values: np.ndarray,
                   mode: str) -> HardModel:
     """Inverse of extract_parameters against the template's structure."""
-    _check_mode(mode)
-    values = np.asarray(values, dtype=float)
-    if values.size != n_free_parameters(template, mode):
+    lay = _layout(template, mode)
+    if np.size(values) != lay.theta.size:
         raise ValueError("parameter vector length does not match the model")
-    offset, slope = values[0], values[1]
-    n_comp = len(template.components)
-    weights = values[2:2 + n_comp]
-    pos = 2 + n_comp
-    comps = []
-    for comp in template.components:
-        peaks = []
-        for p in comp.peaks:
-            if mode == "medium":
-                peaks.append(Peak(values[pos], p.intensity, p.shape, p.hwhm))
-                pos += 1
-            else:
-                peaks.append(Peak(values[pos], values[pos + 1],
-                                  values[pos + 2], values[pos + 3]))
-                pos += 4
-        comps.append(ComponentModel(comp.name, tuple(peaks)))
-    return HardModel(tuple(comps), tuple(weights), (offset, slope))
+    return _rebuild(template, lay, np.asarray(values, dtype=float))
 
 
-def _check_mode(mode):
+_Layout = namedtuple("_Layout", "table comp n_comp k theta")
+
+
+def _layout(model: HardModel, mode: str) -> _Layout:
+    """The one walk over components and peaks: the peak table, each
+    peak's component, the free table columns k and the model's theta."""
     if mode not in MODES:
         raise ValueError(f"unknown fit mode {mode!r}")
+    rows = np.array([(ci, p.position, p.intensity, p.shape, p.hwhm)
+                     for ci, comp in enumerate(model.components)
+                     for p in comp.peaks], dtype=float)
+    k = 1 if mode == "medium" else 4
+    free = rows[:, 1:1 + k].ravel()
+    return _Layout(rows[:, 1:], rows[:, 0].astype(int), len(model.weights), k,
+                   np.concatenate((model.baseline, model.weights, free)))
 
 
-def _eval_and_jacobian(template, values, mode, grid):
-    """Model spectrum and its derivative with respect to every free
-    parameter, all analytic."""
-    n_comp = len(template.components)
-    n = grid.size
-    J = np.zeros((n, values.size))
-    out = np.full(n, values[0] + values[1] * grid, dtype=float)
+def _rebuild(template: HardModel, lay: _Layout, theta) -> HardModel:
+    table = lay.table.copy()
+    table[:, :lay.k] = theta[2 + lay.n_comp:].reshape(-1, lay.k)
+    rows = iter(table.tolist())
+    comps = [ComponentModel(c.name, [Peak(*next(rows)) for _ in c.peaks])
+             for c in template.components]
+    return HardModel(comps, theta[2:2 + lay.n_comp], theta[:2])
+
+
+def _evaluate(lay: _Layout, theta: np.ndarray, grid: np.ndarray,
+              jacobian: bool = False):
+    """The model spectrum of theta on grid and, with `jacobian`, its
+    analytic (n_grid, n_theta) derivative; line shapes are peak-major."""
+    weights = theta[2:2 + lay.n_comp]
+    # (n_peaks, 1) columns: the free ones from theta, the others from the table
+    free = theta[2 + lay.n_comp:].reshape(-1, lay.k).T[:, :, None]
+    position, intensity, shape, hwhm = (*free, *lay.table.T[lay.k:, :, None])
+    u = (grid - position) / hwhm
+    gauss = np.exp(-LN2 * u * u)
+    lorentz = 1.0 / (1.0 + u * u)
+    unit = shape * gauss + (1.0 - shape) * lorentz
+    sums = np.zeros((lay.n_comp, grid.size))
+    for ci, row in zip(lay.comp, intensity * unit):
+        sums[ci] += row
+    out = theta[0] + theta[1] * grid
+    for weight, comp_sum in zip(weights, sums):
+        out += weight * comp_sum
+    if not jacobian:
+        return out
+    # d(unit)/du, with dG/du = -2 ln2 u G and dL/du = -2 u L^2
+    dunit_du = (shape * (-2.0 * LN2) * u * gauss
+                + (1.0 - shape) * (-2.0 * u) * lorentz * lorentz)
+    weight = weights[lay.comp, None]
+    scaled_dunit = weight * intensity * dunit_du
+    J = np.empty((grid.size, theta.size))   # C order keeps J.T @ J's bits
     J[:, 0] = 1.0
     J[:, 1] = grid
-    pos = 2 + n_comp
-    for ci, comp in enumerate(template.components):
-        weight = values[2 + ci]
-        comp_sum = np.zeros(n)
-        for p in comp.peaks:
-            if mode == "medium":
-                position, intensity, shape, hwhm = (values[pos], p.intensity,
-                                                    p.shape, p.hwhm)
-            else:
-                position, intensity, shape, hwhm = values[pos:pos + 4]
-            u = (grid - position) / hwhm
-            gauss = np.exp(-LN2 * u * u)
-            lorentz = 1.0 / (1.0 + u * u)
-            unit = shape * gauss + (1.0 - shape) * lorentz
-            comp_sum += intensity * unit
-            # d(unit)/du, with dG/du = -2 ln2 u G and dL/du = -2 u L^2
-            dunit_du = (shape * (-2.0 * LN2) * u * gauss
-                        + (1.0 - shape) * (-2.0 * u) * lorentz * lorentz)
-            J[:, pos] = weight * intensity * dunit_du * (-1.0 / hwhm)
-            if mode == "high":
-                J[:, pos + 1] = weight * unit
-                J[:, pos + 2] = weight * intensity * (gauss - lorentz)
-                J[:, pos + 3] = weight * intensity * dunit_du * (-u / hwhm)
-                pos += 4
-            else:
-                pos += 1
-        out += weight * comp_sum
-        J[:, 2 + ci] = comp_sum
+    J[:, 2:2 + lay.n_comp] = sums.T
+    dpeak = J[:, 2 + lay.n_comp:].reshape(grid.size, -1, lay.k).T  # a view
+    dpeak[0] = scaled_dunit * (-1.0 / hwhm)
+    if lay.k == 4:
+        dpeak[1] = weight * unit
+        dpeak[2] = weight * intensity * (gauss - lorentz)
+        dpeak[3] = scaled_dunit * (-u / hwhm)
     return out, J
 
 
-def _projector(template, theta0, mode, position_bound):
+def _eval_and_jacobian(template, values, mode, grid):
+    return _evaluate(_layout(template, mode), values, grid, jacobian=True)
+
+
+def _projector(lay: _Layout, position_bound: float):
     """The feasible box (lo, hi) that trial steps are clipped onto:
     positions boxed around their initial values, weights/intensities
     nonnegative, shape fractions in [0, 1], widths positive."""
-    n_comp = len(template.components)
-    lo = np.full(theta0.size, -np.inf)
-    hi = np.full(theta0.size, np.inf)
-    lo[2:2 + n_comp] = 0.0
-    pos = 2 + n_comp
-    for comp in template.components:
-        for _ in comp.peaks:
-            lo[pos] = theta0[pos] - position_bound
-            hi[pos] = theta0[pos] + position_bound
-            if mode == "high":
-                lo[pos + 1] = 0.0
-                lo[pos + 2], hi[pos + 2] = 0.0, 1.0
-                lo[pos + 3] = HWHM_FLOOR
-                pos += 4
-            else:
-                pos += 1
-    return lo, hi
+    edges = np.array([(-position_bound, 0.0, 0.0, HWHM_FLOOR),
+                      (position_bound, np.inf, 1.0, np.inf)])
+    lo, hi = np.repeat(edges[:, None, :lay.k], len(lay.table), axis=1)
+    lo[:, 0] += lay.table[:, 0]
+    hi[:, 0] += lay.table[:, 0]
+    return (np.concatenate(([-np.inf] * 2 + [0.0] * lay.n_comp, lo.ravel())),
+            np.concatenate(([np.inf] * (2 + lay.n_comp), hi.ravel())))
 
 
 def fit_hard_model(model: HardModel, grid: np.ndarray,
@@ -286,20 +263,19 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
     max_iterations is only a budget.  Returns the best parameters seen
     even when the budget runs out or the damping overflows (converged
     False in those cases)."""
-    _check_mode(mode)
+    lay = _layout(model, mode)
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(intensity, dtype=float)
     if grid.shape != y.shape or grid.ndim != 1:
         raise ValueError("spectrum and grid shapes disagree")
-    for comp in model.components:
-        for p in comp.peaks:
-            if not grid[0] <= p.position <= grid[-1]:
-                raise ValueError(
-                    f"peak at {p.position} outside the grid extent")
-    theta = extract_parameters(model, mode)
-    lo, hi = _projector(model, theta, mode, position_bound)
+    outside = ~((grid[0] <= lay.table[:, 0]) & (lay.table[:, 0] <= grid[-1]))
+    if outside.any():
+        raise ValueError(f"peak at {lay.table[outside, 0][0]} outside the "
+                         "grid extent")
+    theta = lay.theta
+    lo, hi = _projector(lay, position_bound)
     eye = np.eye(theta.size)
-    pred, J = _eval_and_jacobian(model, theta, mode, grid)
+    pred, J = _evaluate(lay, theta, grid, jacobian=True)
     r = pred - y
     sse = float(r @ r)
     lam = LM_LAMBDA0
@@ -327,7 +303,7 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
         if not np.all(np.isfinite(z)):
             raise NumericError("Jacobian rank collapse")
         cand = np.clip(theta + z / d, lo, hi)
-        cand_pred, cand_J = _eval_and_jacobian(model, cand, mode, grid)
+        cand_pred, cand_J = _evaluate(lay, cand, grid, jacobian=True)
         cand_r = cand_pred - y
         cand_sse = float(cand_r @ cand_r)
         decrease = sse - cand_sse
@@ -349,26 +325,23 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
         if lam > LM_LAMBDA_MAX:
             reason = "lambda_max"
             break
-    return FitResult(rebuild_model(model, theta, mode), sse, iters, reason)
+    return FitResult(_rebuild(model, lay, theta), sse, iters, reason, theta)
 
 
 def ihm_features(stage: IhmFeatures, X: np.ndarray):
     """Apply the stage to rows X: feature rows, the unconverged count,
     the mean SSE and the count of each termination reason."""
-    rows = []
-    reasons: dict = {}
+    fits = [fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
+                           position_bound=stage.position_bound,
+                           max_iterations=stage.max_iterations) for x in X]
+    reasons = Counter(fit.reason for fit in fits)
     sse_total = 0.0
-    for x in X:
-        result = fit_hard_model(stage.base, stage.wavenumbers, x, stage.mode,
-                                position_bound=stage.position_bound,
-                                max_iterations=stage.max_iterations)
-        rows.append(extract_parameters(result.model, stage.mode))
-        reasons[result.reason] = reasons.get(result.reason, 0) + 1
-        sse_total += result.sse
+    for fit in fits:
+        sse_total += fit.sse
     unconverged = sum(count for reason, count in reasons.items()
                       if reason not in CONVERGED_REASONS)
-    return (np.array(rows), unconverged, sse_total / len(X),
-            dict(sorted(reasons.items())))
+    return (np.array([fit.parameters for fit in fits]), unconverged,
+            sse_total / len(X), dict(sorted(reasons.items())))
 
 
 def hard_model_to_dict(model: HardModel) -> dict:
