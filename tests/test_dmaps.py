@@ -511,3 +511,28 @@ def test_gh_fit_keeps_the_dense_harmonic_count(n, dim, place, near, side, seed):
     # at most n - 1 harmonics, as from a dense fit of n - 1 pairs
     m = min(int(np.sum(vals >= max(delta * vals[0], NYSTROM_EIG_FLOOR))), n - 1)
     assert gh_fit(t, t[:, 0], delta=delta).dmap.n_eig == m
+
+
+@st.composite
+def distance_inputs(draw):
+    """Point sets of every make the training kernel sees: a common offset,
+    F order, repeated rows and wide or narrow columns."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    X += draw(st.sampled_from([0.0, 5.0, -1e3]))
+    if draw(st.booleans()):
+        X[rng.integers(0, n, size=n // 3)] = X[0]
+    return np.asfortranarray(X) if draw(st.booleans()) else X
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=distance_inputs())
+def test_median_heuristic_upper_triangle_equals_the_full_matrix(X):
+    D2 = pairwise_sq_distances(X)
+    assert np.array_equal(D2, D2.T)
+    full = D2[D2 > 0]
+    assume(full.size)
+    assert epsilon_median_heuristic(D2) == float(np.sqrt(np.median(full)))
