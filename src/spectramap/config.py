@@ -3,9 +3,11 @@ walker before any data loads.  The README tables every section.
 
 `spec_from` checks each key against the spec's type hints: a bool is
 never an int or a float, a str is never a list, an int refuses a
-non-integral float, a float must be finite, and a list becomes a tuple.
-A field typed as a spec is a nested section (built from {} when left
-out; its default `seed` is the enclosing one).  A field with metadata
+non-integral float, a float must be finite, a list becomes a tuple, and
+a `seed` must be nonnegative.  A field typed as a spec is a nested
+section (built from {} when left out; its default `seed` is the
+enclosing one), and one typed Tuple[spec, ...] a list of sections, item
+i named `key[i]`.  A field with metadata
 `spec_by: (key, table)` is the section that table names for the value
 of sibling `key`, else a plain object.  A field without a default is
 required.  An int field defaulting to FROM_DATA is set from the loaded
@@ -113,14 +115,21 @@ def spec_from(cls, cfg: dict, where: str, seed: Optional[int] = None,
             section = table.get(kw.get(key, getattr(cls, key, None)))
         else:
             section = _nested(tp)
-        if section and (given is not _BAD or f.default is dataclasses.MISSING):
-            sub = path + f.name
+        sub, many = path + f.name, get_origin(tp) is tuple
+        if section and many and isinstance(given, list):
+            kw[f.name] = tuple(
+                spec_from(section, item, f"{sub}[{i}]", kw.get("seed", seed),
+                          f"{sub}[{i}].") for i, item in enumerate(given))
+        elif section and not many and (given is not _BAD
+                                       or f.default is dataclasses.MISSING):
             kw[f.name] = spec_from(section, cfg.get(f.name, {}), sub,
                                    kw.get("seed", seed), sub + ".")
         elif given is not _BAD:
             kw[f.name] = _typed(tp, given)
             require(kw[f.name] is not _BAD,
                     f"{where}: {f.name} must be {_name(tp)}, got {given!r}")
+            require(f.name != "seed" or kw[f.name] >= 0,
+                    f"{where}: seed must be nonnegative, got {given!r}")
         else:
             require(f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING,

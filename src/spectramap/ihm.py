@@ -53,7 +53,7 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import write_json
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 LN2 = float(np.log(2.0))
 MODES = ("medium", "high")
@@ -356,19 +356,33 @@ def hard_model_to_dict(model: HardModel) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _Baseline:
+    offset: float
+    slope: float
+
+
+@dataclass(frozen=True)
+class _Component:
+    name: str
+    weight: float
+    peaks: Tuple[Peak, ...]
+
+
+@dataclass(frozen=True)
+class _HardModelFile:
+    """The hard-model file format, which the config schema checks."""
+
+    baseline: _Baseline
+    components: Tuple[_Component, ...]
+
+
 def hard_model_from_dict(data: dict) -> HardModel:
-    try:
-        comps = tuple(
-            ComponentModel(c["name"],
-                           tuple(Peak(p["position"], p["intensity"],
-                                      p["shape"], p["hwhm"])
-                                 for p in c["peaks"]))
-            for c in data["components"])
-        weights = tuple(float(c["weight"]) for c in data["components"])
-        baseline = (data["baseline"]["offset"], data["baseline"]["slope"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed hard-model dictionary: {exc}") from None
-    return HardModel(comps, weights, baseline)
+    from .config import spec_from   # config imports this module
+    doc = spec_from(_HardModelFile, data, "hard model")
+    return HardModel([ComponentModel(c.name, c.peaks) for c in doc.components],
+                     [c.weight for c in doc.components],
+                     (doc.baseline.offset, doc.baseline.slope))
 
 
 def save_hard_model(path, model: HardModel) -> None:
@@ -377,4 +391,7 @@ def save_hard_model(path, model: HardModel) -> None:
 
 def load_hard_model(path) -> HardModel:
     with open(path, encoding="utf-8") as fh:
-        return hard_model_from_dict(json.load(fh))
+        try:
+            return hard_model_from_dict(json.load(fh))
+        except ValueError as e:   # ConfigError and JSON syntax included
+            raise ConfigError(f"{path}: {e}") from None

@@ -248,6 +248,97 @@ def test_a_bad_config_exits_2_naming_its_key(files, tmp_path, capsys,
     assert err.startswith(f"config error: {section}: {key}"), err
 
 
+
+# Each passed the schema and exited 2 with numpy's "expected non-negative
+# integer", naming no key.
+NEGATIVE_SEEDS = [
+    (["train", "pls_direct"], {"seed": -1}, "config"),
+    (["train", "pls_direct", "--seed", "-1"], {}, "config"),
+    (["train", "pls_direct"], {"split": {"seed": -1}}, "split"),
+    (["train", "pls_direct"], {"pls": {"seed": -2}}, "pls"),
+    (["train", "direct_dmaps_nn"], {"regressor": {"seed": -1}}, "regressor"),
+    (["train", "direct_dmaps_gbt"], {"regressor": {"seed": -3}}, "regressor"),
+    (["train", "yshaped"], {"yshaped": {"seed": -1}}, "yshaped"),
+    (["train", "pls_direct"],
+     {"data": {"synth": {"kind": "peak_spectra", "n_samples": 40,
+                         "seed": -1}}}, "data.synth"),
+    (["synth"], {"kind": "peak_spectra", "seed": -1}, "synth config"),
+    (["synth", "--seed", "-1"], {"kind": "peak_spectra"}, "synth config"),
+]
+
+
+@pytest.mark.parametrize("argv, cfg, section", NEGATIVE_SEEDS,
+                         ids=[" ".join(c[0]) + ":" + c[2]
+                              for c in NEGATIVE_SEEDS])
+def test_a_negative_seed_exits_2_naming_its_key(files, tmp_path, capsys,
+                                                argv, cfg, section):
+    code, err = run_cli(files, tmp_path, capsys, argv, cfg)
+    assert code == 2, err
+    assert err.startswith(f"config error: {section}: seed must be "
+                          "nonnegative, got -"), err
+
+
+def _hard_model_doc():
+    peak = {"position": 1000.0, "intensity": 2.0, "shape": 0.5, "hwhm": 8.0}
+    return {"baseline": {"offset": 0.0, "slope": 0.0},
+            "components": [{"name": "a", "weight": 1.0,
+                            "peaks": [peak, dict(peak, position=1600.0)]}]}
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# Each loaded before the file was checked: true read as 1, "1" as 1.0,
+# a number kept as the name, NaN and Infinity kept; "x" and -1 exited 2
+# without naming the key, and an unknown key was ignored.
+BAD_HARD_MODELS = [
+    (("components", 0, "peaks", 0, "hwhm"), True,
+     "components[0].peaks[0]: hwhm must be number, got True"),
+    (("components", 0, "weight"), True,
+     "components[0]: weight must be number, got True"),
+    (("baseline", "offset"), "1", "baseline: offset must be number, got '1'"),
+    (("components", 0, "name"), 5, "components[0]: name must be str, got 5"),
+    (("components", 0, "peaks", 0, "hwhm"), float("nan"),
+     "components[0].peaks[0]: hwhm must be number, got nan"),
+    (("components", 0, "peaks", 1, "intensity"), float("inf"),
+     "components[0].peaks[1]: intensity must be number, got inf"),
+    (("components", 0, "peaks", 1, "position"), float("nan"),
+     "components[0].peaks[1]: position must be number, got nan"),
+    (("components", 0, "weight"), "x",
+     "components[0]: weight must be number, got 'x'"),
+    (("components", 0, "peaks", 0, "hwhm"), -1.0,
+     "components[0].peaks[0]: hwhm must be positive"),
+    (("components", 0, "peaks", 0, "color"), "red",
+     "unknown keys in components[0].peaks[0]: ['color']"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_HARD_MODELS,
+                         ids=[".".join(map(str, c[0])) + "=" + repr(c[1])
+                              for c in BAD_HARD_MODELS])
+def test_a_bad_hard_model_file_exits_2_naming_its_entry(
+        files, tmp_path, capsys, path, value, message):
+    doc = _hard_model_doc()
+    _set(path, value)(doc)
+    model = write_json(tmp_path / "hard_model.json", doc)
+    code, err = run_cli(files, tmp_path, capsys, ["train", "ihm_pls"],
+                        {"ihm": {"model_json": model}})
+    assert code == 2, err
+    assert err == f"config error: {model}: {message}\n", err
+
+
+def test_a_good_hard_model_file_trains(files, tmp_path, capsys):
+    model = write_json(tmp_path / "hard_model.json", _hard_model_doc())
+    code, err = run_cli(files, tmp_path, capsys, ["train", "ihm_pls"],
+                        {"ihm": {"model_json": model}})
+    assert code == 0, err
+
 def test_every_section_present_is_checked(files, tmp_path, capsys):
     # pls_direct reads no embedding and no autoencoder
     for cfg, prefix in (({"dmaps": {"n_eig": "6"}}, "dmaps: n_eig"),
