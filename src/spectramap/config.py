@@ -116,7 +116,7 @@ def spec_from(cls, cfg: dict, where: str, seed: Optional[int] = None,
         else:
             section = _nested(tp)
         sub, many = path + f.name, get_origin(tp) is tuple
-        if section and many and isinstance(given, list):
+        if section and many and isinstance(given, (list, tuple)):
             kw[f.name] = tuple(
                 spec_from(section, item, f"{sub}[{i}]", kw.get("seed", seed),
                           f"{sub}[{i}].") for i, item in enumerate(given))

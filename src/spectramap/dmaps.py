@@ -204,10 +204,9 @@ def gaussian_kernel(D2: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def epsilon_median_heuristic(D2: np.ndarray) -> float:
-    """Kernel scale from data: sqrt of the median nonzero squared distance
-    between two points.  D2 is symmetric with a zero diagonal, so each
-    such value appears twice and the strict upper triangle, copied row by
-    row, has the same median at half the copy."""
+    """Kernel scale from data: sqrt of the median nonzero squared distance.
+    D2 is symmetric with a zero diagonal, so the strict upper triangle,
+    copied row by row, has the same median at half the copy."""
     D2 = np.asarray(D2)
     vals = np.concatenate([D2[i, i + 1:] for i in range(len(D2))])
     vals = vals[vals > 0]

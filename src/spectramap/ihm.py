@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -344,18 +344,6 @@ def ihm_features(stage: IhmFeatures, X: np.ndarray):
             sse_total / len(X), dict(sorted(reasons.items())))
 
 
-def hard_model_to_dict(model: HardModel) -> dict:
-    return {
-        "baseline": {"offset": model.baseline[0], "slope": model.baseline[1]},
-        "components": [
-            {"name": comp.name, "weight": weight,
-             "peaks": [{"position": p.position, "intensity": p.intensity,
-                        "shape": p.shape, "hwhm": p.hwhm}
-                       for p in comp.peaks]}
-            for comp, weight in zip(model.components, model.weights)],
-    }
-
-
 @dataclass(frozen=True)
 class _Baseline:
     offset: float
@@ -371,10 +359,16 @@ class _Component:
 
 @dataclass(frozen=True)
 class _HardModelFile:
-    """The hard-model file format, which the config schema checks."""
+    """The hard-model file format; spec_from checks a file against it."""
 
     baseline: _Baseline
     components: Tuple[_Component, ...]
+
+
+def hard_model_to_dict(model: HardModel) -> dict:
+    return asdict(_HardModelFile(_Baseline(*model.baseline), tuple(
+        _Component(c.name, w, c.peaks)
+        for c, w in zip(model.components, model.weights))))
 
 
 def hard_model_from_dict(data: dict) -> HardModel:
