@@ -284,32 +284,32 @@ def fit_hard_model(model: HardModel, grid: np.ndarray,
     for iters in range(1, max_iterations + 1):
         g = J.T @ r
         A = J.T @ J
-        d = np.sqrt(np.diag(A))
-        if not np.all(d > 0):
+        d = np.sqrt(A.diagonal())
+        if not (d > 0).all():
             raise NumericError("Jacobian rank collapse")
         pushed_out = ((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0))
-        if np.max(np.abs(np.where(pushed_out, 0.0, g)) / d) \
+        if (np.abs(np.where(pushed_out, 0.0, g)) / d).max() \
                 <= LM_GTOL * np.sqrt(sse):
             reason = "gtol"
             break
         # the system in D-scaled variables z = D delta has a unit diagonal,
         # so it is the same for any rescaling of the parameters or the data
-        A_scaled = A / np.outer(d, d)
+        A_scaled = A / (d[:, None] * d)
         g_scaled = g / d
         try:
             z = np.linalg.solve(A_scaled + lam * eye, -g_scaled)
         except np.linalg.LinAlgError:
             raise NumericError("Jacobian rank collapse") from None
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError("Jacobian rank collapse")
-        cand = np.clip(theta + z / d, lo, hi)
+        cand = (theta + z / d).clip(lo, hi)
         cand_pred, cand_J = _evaluate(lay, cand, grid, jacobian=True)
         cand_r = cand_pred - y
         cand_sse = float(cand_r @ cand_r)
         decrease = sse - cand_sse
         predicted = float(z @ A_scaled @ z) + 2.0 * lam * float(z @ z)
-        step = np.sqrt(np.sum((d * (cand - theta)) ** 2))
-        size = np.sqrt(np.sum((d * theta) ** 2))
+        step = np.sqrt(((d * (cand - theta)) ** 2).sum())
+        size = np.sqrt(((d * theta) ** 2).sum())
         tol_sse = LM_FTOL * sse
         if decrease > 0:
             theta, r, J, sse = cand, cand_r, cand_J, cand_sse
