@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -189,6 +190,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache   # about 1 ms; in-process callers run entry() in a loop
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectramap",
