@@ -135,7 +135,7 @@ class FitResult:
     sse: float
     n_iterations: int
     reason: str  # one of CONVERGED_REASONS, "lambda_max", "max_iterations"
-    parameters: np.ndarray = field(compare=False)  # theta of model
+    parameters: np.ndarray = field(compare=False)  # model's theta
 
     @property
     def converged(self) -> bool:
