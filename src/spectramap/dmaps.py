@@ -207,8 +207,7 @@ def epsilon_median_heuristic(D2: np.ndarray) -> float:
     """Kernel scale from data: sqrt of the median nonzero squared distance.
     D2 is symmetric with a zero diagonal, so the strict upper triangle,
     copied row by row, has the same median at half the copy."""
-    D2 = np.asarray(D2)
-    vals = np.concatenate([D2[i, i + 1:] for i in range(len(D2))])
+    vals = np.concatenate([row[i + 1:] for i, row in enumerate(np.asarray(D2))])
     vals = vals[vals > 0]
     if vals.size == 0:
         raise ValueError("all pairwise distances are zero; cannot pick epsilon")
