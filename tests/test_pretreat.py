@@ -204,3 +204,80 @@ class TestFullPipeline:
         assert out.grid.values[0] >= 850.0
         assert np.allclose(out.intensities.mean(axis=1), 0, atol=1e-10)
         assert np.allclose(out.intensities.std(axis=1, ddof=1), 1, atol=1e-10)
+
+
+def pin_spectra():
+    """30 spectra on a 600-2000 1/cm grid at 2 1/cm: a convex background,
+    three Gaussian peaks and sigma = 0.01 noise each."""
+    rng = np.random.default_rng(24)
+    w = np.arange(600.0, 2001.0, 2.0)
+    X = np.empty((30, w.size))
+    for i in range(30):
+        u = (w - rng.uniform(900.0, 1500.0)) / 700.0
+        row = rng.uniform(0.5, 2.0) + rng.uniform(0.2, 1.5) * u * u
+        for _ in range(3):
+            mu, sigma = rng.uniform(850.0, 1800.0), rng.uniform(4.0, 20.0)
+            row += rng.uniform(0.2, 1.5) * np.exp(-0.5 * ((w - mu) / sigma) ** 2)
+        X[i] = row + rng.normal(scale=0.01, size=w.size)
+    ids = tuple(f"s{i:02d}" for i in range(30))
+    return SpectraSet(WavenumberGrid(w), X, ids)
+
+
+def hull_cases():
+    """Rows whose hulls hinge on exact ties of the cross product."""
+    n = np.arange(12.0)
+    return {
+        "collinear_line": (n, 2.0 * n - 3.0),
+        "collinear_run": (n, np.array([9.0, 6, 3, 0, 1, 2, 3, 4, 8, 5, 6, 7])),
+        "constant": (n[:8], np.full(8, 2.5)),
+        "plateau": (n[:10], np.array([3.0, 1, 1, 1, 1, 2, 0.5, 0.5, 0.5, 4])),
+        "v": (n[:9], np.abs(n[:9] - 4.0)),
+        "two_points": (np.array([1.0, 2.0]), np.array([3.0, -1.0])),
+        "rounded_line": (np.linspace(850.0, 1800.0, 50),
+                         1e-3 * np.linspace(850.0, 1800.0, 50) + 0.1),
+    }
+
+
+def array_bits(a):
+    import hashlib
+    return {"shape": list(a.shape), "dtype": str(a.dtype),
+            "c_contiguous": bool(a.flags.c_contiguous),
+            "sha256": hashlib.sha256(a.tobytes()).hexdigest()}
+
+
+def pretreat_bits():
+    """Every output that tests/data/pretreat_bits.json holds, computed by
+    the current code.  linear_fit is left out: its lstsq bits follow the
+    LAPACK build."""
+    ds = pin_spectra()
+    out = {}
+    for norm in ("none", "snv", "minmax"):
+        spec = PretreatmentSpec(region="fingerprint",
+                                exclusions=((1552.0, 1560.0),),
+                                baseline="rubber_band", normalization=norm)
+        out[f"apply/rubber_band/{norm}"] = array_bits(
+            apply_pretreatment(ds, spec).intensities)
+    region = apply_region(ds, PretreatmentSpec(region="fingerprint",
+                                               exclusions=((1552.0, 1560.0),)))
+    w, X = region.grid.values, region.intensities
+    out["rubber_band/batch"] = array_bits(baseline_rubber_band(w, X))
+    out["rubber_band/fortran"] = array_bits(
+        baseline_rubber_band(w, np.asfortranarray(X)))
+    out["rubber_band/row"] = array_bits(baseline_rubber_band(w, X[3]))
+    for name, (hw, hy) in hull_cases().items():
+        out[f"hull/{name}"] = lower_convex_hull(hw, hy).tolist()
+    return out
+
+
+def test_pretreatment_outputs_equal_the_pinned_bits():
+    # tests/data/pretreat_bits.json was written by pretreat_bits() while
+    # the hull still indexed numpy arrays element by element
+    import json
+    import os
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "pretreat_bits.json")) as fh:
+        want = json.load(fh)
+    got = pretreat_bits()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
