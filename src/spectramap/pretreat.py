@@ -6,7 +6,10 @@ Conventions fixed here once:
   * SNV uses the sample (n-1) standard deviation;
   * baselines are fitted on the already region-filtered grid;
   * rubber-band baselines come from the exact lower convex hull
-    (monotone chain, cross products, no tolerance fudging).
+    (monotone chain, cross products, no tolerance fudging).  The chain
+    runs on Python floats, which are the same IEEE-754 doubles as the
+    array entries, so each decision and the strict collinear rule are
+    those of the arithmetic on the arrays themselves.
 """
 
 from __future__ import annotations
@@ -95,11 +98,16 @@ def lower_convex_hull(w: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Monotone-chain construction over the already increasing w; the
     cross-product test is exact and collinear interior points are
-    dropped.  Endpoints are always vertices.
+    dropped.  Endpoints are always vertices.  The chain runs on Python
+    floats: the same doubles, so the same decisions, without boxing a
+    numpy scalar per step.
     """
-    n = w.size
+    return np.array(_lower_hull(w.tolist(), y.tolist()), dtype=int)
+
+
+def _lower_hull(w: List[float], y: List[float]) -> List[int]:
     hull: List[int] = []
-    for i in range(n):
+    for i in range(len(w)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # b stays only if a->b->i is a strict left turn; collinear b is dropped
@@ -109,7 +117,7 @@ def lower_convex_hull(w: np.ndarray, y: np.ndarray) -> np.ndarray:
             else:
                 break
         hull.append(i)
-    return np.array(hull, dtype=int)
+    return hull
 
 
 def baseline_rubber_band(w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,8 +131,9 @@ def baseline_rubber_band(w: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("grid not increasing")
     Y = np.atleast_2d(np.asarray(y, dtype=float))
     out = np.empty_like(Y)
+    w_list = w.tolist()
     for i, row in enumerate(Y):
-        hull = lower_convex_hull(w, row)
+        hull = _lower_hull(w_list, row.tolist())
         band = np.interp(w, w[hull], row[hull])
         out[i] = row - band
     return out[0] if np.ndim(y) == 1 else out
