@@ -281,3 +281,81 @@ def test_pretreatment_outputs_equal_the_pinned_bits():
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def numpy_scalar_hull(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The monotone chain as it indexed numpy arrays element by element,
+    kept verbatim as the reference for the chain on Python floats."""
+    n = w.size
+    hull = []
+    for i in range(n):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # b stays only if a->b->i is a strict left turn; collinear b is dropped
+            cross = (w[b] - w[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (w[i] - w[a])
+            if cross <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.array(hull, dtype=int)
+
+
+ROW_KINDS = ("noise", "collinear", "constant", "plateau", "v")
+
+
+def property_grid(kind, n, rng):
+    if kind == "integer":
+        return np.cumsum(rng.integers(1, 4, size=n)).astype(float) + 600.0
+    if kind == "uniform":
+        return np.linspace(850.0, 1800.0, n)
+    steps = rng.uniform(0.1, 5.0, size=n)
+    return np.cumsum(steps) + rng.uniform(-100.0, 100.0)
+
+
+def property_row(kind, w, rng):
+    n = w.size
+    y = rng.normal(scale=rng.uniform(0.1, 10.0), size=n) + rng.normal()
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n)) + 1
+    if kind == "collinear":
+        # integer values on a line: exact ties on an integer grid
+        y[lo:hi] = float(rng.integers(-5, 6)) * (w[lo:hi] - w[lo]) \
+            + float(rng.integers(-20, 0))
+    elif kind == "constant":
+        y[:] = float(rng.integers(-3, 4))
+    elif kind == "plateau":
+        y[lo:hi] = y.min() - float(rng.integers(0, 2))
+    elif kind == "v":
+        y = np.abs(w - w[lo]) * float(rng.integers(1, 4)) \
+            + float(rng.integers(-5, 6))
+    return y
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       grid_kind=st.sampled_from(("integer", "uniform", "nonuniform")),
+       n=st.integers(2, 300),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=50),
+       k=st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_rubber_band_rows_match_the_numpy_scalar_chain(seed, grid_kind, n,
+                                                       kinds, k):
+    rng = np.random.default_rng(seed)
+    w = property_grid(grid_kind, n, rng)
+    Y = np.array([property_row(kind, w, rng) for kind in kinds])
+    out = baseline_rubber_band(w, Y)
+    for row, got in zip(Y, out):
+        hull = numpy_scalar_hull(w, row)
+        assert lower_convex_hull(w, row).tolist() == hull.tolist()
+        want = row - np.interp(w, w[hull], row[hull])
+        assert got.tobytes() == want.tobytes()
+    # a row's bits do not depend on its batch or its position in it
+    order = rng.permutation(len(Y))
+    mixed = baseline_rubber_band(w, np.vstack([Y[order], Y[:1]]))
+    for pos, i in enumerate(order):
+        assert mixed[pos].tobytes() == out[i].tobytes()
+        assert baseline_rubber_band(w, Y[i]).tobytes() == out[i].tobytes()
+    # scaling by a power of two is exact at every step
+    scale = 2.0 ** k
+    assert baseline_rubber_band(w, Y * scale).tobytes() \
+        == (out * scale).tobytes()
