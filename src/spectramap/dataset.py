@@ -11,6 +11,7 @@ save/load round trip is bit-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, List
@@ -115,8 +116,10 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
     """Load a one-column-per-sample spectra CSV, optionally attaching sizes.
 
     Raises ValueError on a malformed header, ragged rows, a cell that is
-    not a number, a non-increasing grid, duplicate ids, or sizes that do
-    not cover every sample.
+    not a number, a non-finite intensity, a non-increasing grid,
+    duplicate ids, or sizes that do not cover every sample.  The
+    messages for a bad header, a ragged row, a bad cell and a non-finite
+    intensity name the file and the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -125,7 +128,8 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
         except StopIteration:
             raise ValueError(f"{path}: empty spectra file")
         if len(header) < 2 or header[0] != "wavenumber":
-            raise ValueError(f"{path}: header must start with 'wavenumber' and list sample ids")
+            raise ValueError(f"{path}: line {reader.line_num}: header must "
+                             "start with 'wavenumber' and list sample ids")
         ids = [h.strip() for h in header[1:]]
         grid_vals: List[float] = []
         cols: List[List[float]] = [[] for _ in ids]
@@ -133,7 +137,8 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
             if not row:
                 continue
             if len(row) != len(ids) + 1:
-                raise ValueError(f"{path}: row width {len(row)} does not match header")
+                raise ValueError(f"{path}: line {reader.line_num}: row width "
+                                 f"{len(row)} does not match header")
             try:
                 grid_vals.append(float(row[0]))
                 for j, cell in enumerate(row[1:]):
@@ -142,6 +147,8 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     grid = WavenumberGrid(np.array(grid_vals))
     X = np.array(cols, dtype=float)  # (n_samples, n_wavenumbers)
+    if not np.isfinite(X).all():
+        raise ValueError(_non_finite_cell(path, ids, X))
     sizes = None
     if sizes_path is not None:
         table = load_sizes(sizes_path)
@@ -153,6 +160,18 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
             raise ValueError(f"{sizes_path}: size rows with unknown sample ids {extra}")
         sizes = np.array([table[s] for s in ids])
     return SpectraSet(grid=grid, intensities=X, sample_ids=tuple(ids), sizes=sizes)
+
+
+def _non_finite_cell(path, ids, X) -> str:
+    """Name the first non-finite intensity in file order by reading the
+    file again; only a refused file pays for this."""
+    i, j = np.argwhere(~np.isfinite(X.T))[0]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        row = next(itertools.islice((r for r in reader if r), i, None))
+        return (f"{path}: line {reader.line_num}: sample {ids[j]!r} has "
+                f"non-finite intensity {row[j + 1]!r}")
 
 
 def save_spectra(dataset: SpectraSet, path, sizes_path=None) -> None:

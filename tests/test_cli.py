@@ -350,3 +350,46 @@ class TestConsoleInvocation:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "synth" in proc.stdout
+
+
+def _spectra_lines_with(case, lines):
+    """The synthetic spectra file with one defect; line 5 is the fourth
+    grid row."""
+    cells = lines[4].split(",")
+    if case == "empty":
+        return []
+    if case == "bad_header":
+        lines[0] = "wave," + lines[0].split(",", 1)[1]
+    elif case == "ragged":
+        lines[4] = ",".join(cells[:2])
+    elif case == "bad_cell":
+        cells[2] = "abc"
+        lines[4] = ",".join(cells)
+    elif case == "non_finite":
+        cells[2] = "inf"
+        lines[4] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize("case, line", [
+    ("empty", None), ("bad_header", 1), ("ragged", 5), ("bad_cell", 5),
+    ("non_finite", 5)])
+def test_a_refused_spectra_file_is_named_with_its_line(data_dir, trained_run,
+                                                      tmp_path, capsys,
+                                                      case, line):
+    _, out = trained_run
+    lines = (data_dir / "data" / "spectra.csv").read_text().splitlines()
+    sample = lines[0].split(",")[2]
+    bad = tmp_path / f"{case}.csv"
+    bad.write_text("".join(f"{x}\n" for x in _spectra_lines_with(case, lines)))
+    pcfg = write_json(tmp_path / "p.json", {"models": str(out / "models"),
+                                           "spectra": str(bad)})
+    capsys.readouterr()
+    assert entry(["predict", "--config", pcfg,
+                  "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if line is not None:
+        assert f"line {line}:" in err
+    if case == "non_finite":
+        assert repr(sample) in err and "'inf'" in err
