@@ -182,3 +182,50 @@ def test_one_fit_per_fold_matches_refitting_every_count(n, p, rank, k_max,
                                          seed=seed % 97)
     assert best == want_best
     assert cv_mse.tobytes() == want_mse.tobytes()
+
+
+# -- bit identity ----------------------------------------------------------
+
+def array_sha(a):
+    import hashlib
+    a = np.asarray(a)
+    return {"shape": list(a.shape), "dtype": str(a.dtype),
+            "sha256": hashlib.sha256(a.tobytes()).hexdigest()}
+
+
+def pls_bits():
+    """Every digest that tests/data/pls_bits.json holds, computed by the
+    current code: a fit, the component search and predictions, on one
+    seeded block in C order and in F order (the PLS workflows pass
+    column-major blocks)."""
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 40)) \
+        + 0.05 * rng.normal(size=(60, 40))
+    y = X @ rng.normal(size=40) + rng.normal(size=60) + 300.0
+    new = rng.normal(size=(15, 40))
+    out = {}
+    for order, block in (("C", np.ascontiguousarray(X)),
+                         ("F", np.asfortranarray(X))):
+        model = pls_fit(block, y, 6)
+        for name in ("x_mean", "y_mean", "weights", "x_loadings",
+                     "y_loadings", "x_scores", "coefficients"):
+            out[f"{order}/fit/{name}"] = array_sha(getattr(model, name))
+        k, cv_mse = pls_choose_components(block, y, 10, folds=5, seed=3)
+        out[f"{order}/choose/k"] = k
+        out[f"{order}/choose/cv_mse"] = array_sha(cv_mse)
+        out[f"{order}/predict"] = array_sha(pls_predict(model, new))
+    return out
+
+
+def test_pls_outputs_equal_the_pinned_bits():
+    # tests/data/pls_bits.json was written by pls_bits(); a deflation
+    # that keeps the block's memory layout changes these bits
+    import json
+    import os
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "pls_bits.json")) as fh:
+        want = json.load(fh)
+    got = pls_bits()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
