@@ -230,7 +230,6 @@ class AltDmapsSpec(AltFitSpec):
     and the two online regressors."""
 
     n_alt_coords: int = FROM_DATA
-    llr_threshold: float = 0.5
     gh_delta: float = 1e-3
     alt_regressor: str = "gh"
     size_regressor: str = "nn"
@@ -241,7 +240,6 @@ class AltDmapsSpec(AltFitSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _at_least(self.n_eig, 3, "n_eig")
         _at_least(self.n_alt_coords, 1, "n_alt_coords")
         require(0 < self.gh_delta < 1, "gh_delta must lie in (0, 1)")
         require(self.alt_regressor in ("gh", "gbt"),

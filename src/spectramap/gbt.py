@@ -1,13 +1,13 @@
-"""Gradient-boosted regression trees, second-order style: each tree is
-fitted to the per-sample gradients/Hessians of the squared loss
-L = 1/2 (pred - y)^2, so g = pred - y and h = 1.  Leaf weights are
--G/(H + lambda); splits come from an exact greedy scan over every
-feature's sorted values with gain
+"""Gradient-boosted regression trees, second-order style, on the squared
+loss L = 1/2 (pred - y)^2: g = pred - y and h = 1, so a side's H is its
+row count.  Leaf weights are -G/(H + lambda); splits come from an exact
+greedy scan over every feature's sorted values with gain
 
     1/2 [ GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l) ]
 
-and ties broken toward the first candidate seen (features in index
-order, thresholds ascending).  There is no sampling, so training is
+scored for all of a feature's split points in one array pass, ties
+broken toward the first candidate seen (features in index order,
+thresholds ascending).  There is no sampling, so training is
 deterministic; the seed field is kept for interface stability.  The
 training MSE after every round is recorded and is non-increasing by
 construction.
@@ -47,49 +47,48 @@ class GbtModel:
     train_mse: List[float]
 
 
-def _best_split(X, g, h, idx, min_leaf, lam):
+def _best_split(X, g, idx, min_leaf, lam):
     """Exact greedy split over the rows idx; returns (gain, feature,
     threshold, left_idx, right_idx) or None."""
-    G = g[idx].sum()
-    H = h[idx].sum()
+    gi = g[idx]
+    G = gi.sum()
+    H = idx.size
     parent = G * G / (H + lam)
     best = None
     for f in range(X.shape[1]):
         vals = X[idx, f]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        sg = g[idx][order]
-        sh = h[idx][order]
-        cg = np.cumsum(sg)
-        ch = np.cumsum(sh)
-        for pos in range(min_leaf - 1, len(idx) - min_leaf):
-            if sv[pos] == sv[pos + 1]:
-                continue
-            GL, HL = cg[pos], ch[pos]
-            GR, HR = G - GL, H - HL
-            gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
-            if best is None or gain > best[0]:
-                thr = 0.5 * (sv[pos] + sv[pos + 1])
-                best = (gain, f, thr, idx[order[:pos + 1]], idx[order[pos + 1:]])
+        cg = np.cumsum(gi[order])
+        pos = np.arange(min_leaf - 1, idx.size - min_leaf)
+        pos = pos[sv[pos] != sv[pos + 1]]
+        if pos.size == 0:
+            continue
+        GL, HL = cg[pos], pos + 1
+        GR, HR = G - GL, H - HL
+        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
+        i = int(np.argmax(gain))  # the first of equal gains
+        if best is None or gain[i] > best[0]:
+            p = pos[i]
+            thr = 0.5 * (sv[p] + sv[p + 1])
+            best = (gain[i], f, thr, idx[order[:p + 1]], idx[order[p + 1:]])
     if best is None or best[0] <= 0:
         return None
     return best
 
 
-def _build_tree(X, g, h, idx, depth, spec):
+def _build_tree(X, g, idx, depth, spec):
     if depth < spec.max_depth and len(idx) >= 2 * spec.min_samples_leaf:
-        split = _best_split(X, g, h, idx, spec.min_samples_leaf, spec.l2_leaf)
+        split = _best_split(X, g, idx, spec.min_samples_leaf, spec.l2_leaf)
         if split is not None:
             _, f, thr, left, right = split
             return {
                 "feature": int(f),
                 "threshold": float(thr),
-                "left": _build_tree(X, g, h, left, depth + 1, spec),
-                "right": _build_tree(X, g, h, right, depth + 1, spec),
+                "left": _build_tree(X, g, left, depth + 1, spec),
+                "right": _build_tree(X, g, right, depth + 1, spec),
             }
-    G = g[idx].sum()
-    H = h[idx].sum()
-    return {"leaf": float(-G / (H + spec.l2_leaf))}
+    return {"leaf": float(-g[idx].sum() / (idx.size + spec.l2_leaf))}
 
 
 def _eval_tree(tree, X, idx, out):
@@ -120,11 +119,10 @@ def gbt_fit(X: np.ndarray, y: np.ndarray, spec: Optional[GbtSpec] = None) -> Gbt
     pred = np.full(y.size, base)
     trees: List[dict] = []
     history: List[float] = []
-    ones = np.ones(y.size)
     all_idx = np.arange(y.size)
     for _ in range(spec.n_trees):
         g = pred - y
-        tree = _build_tree(X, g, ones, all_idx, 0, spec)
+        tree = _build_tree(X, g, all_idx, 0, spec)
         trees.append(tree)
         pred = pred + spec.learning_rate * _tree_predict(tree, X)
         history.append(float(np.mean((pred - y) ** 2)))

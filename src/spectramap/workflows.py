@@ -53,8 +53,6 @@ class RunContext:
     raw: SpectraSet
     train: SpectraSet
     test: SpectraSet
-    train_idx: np.ndarray
-    test_idx: np.ndarray
 
 
 def _prepare(config: dict, spec: RunConfig) -> RunContext:
@@ -68,14 +66,12 @@ def _prepare(config: dict, spec: RunConfig) -> RunContext:
             f"split: test_fraction {split.test_fraction!r} leaves "
             f"{ds.n_samples - n_test} of {ds.n_samples} rows for training; "
             f"at least 4 are needed")
-    train_raw, test_raw, train_idx, test_idx = train_test_split(
-        ds, n_test, split.seed)
+    train_raw, test_raw, _, _ = train_test_split(ds, n_test, split.seed)
 
     pre = spec.pretreatment
     return RunContext(config=config, spec=spec, raw=ds,
                       train=apply_pretreatment(train_raw, pre),
-                      test=apply_pretreatment(test_raw, pre),
-                      train_idx=train_idx, test_idx=test_idx)
+                      test=apply_pretreatment(test_raw, pre))
 
 
 def two_cluster_labels(values) -> np.ndarray:
@@ -246,8 +242,6 @@ def _run_altdmaps(ctx: RunContext) -> RunReport:
                        *spec.kernels,
                        n_eig=n_eig_for(spec.n_eig, ctx.train.n_samples,
                                        "altdmaps"))
-    llr = local_linear_residual(alt.eigenvectors[:, 1:],
-                                threshold=spec.llr_threshold)
     chain, diagnostics = _embedded_chain(ctx, embed)
     diagnostics["llr_residuals"] = residuals
 
@@ -274,8 +268,6 @@ def _run_altdmaps(ctx: RunContext) -> RunReport:
     y_tr = ctx.train.sizes
     diagnostics.update({
         "alt_coordinates_used": list(alt_idx),
-        "alt_selected_indices": [i + 1 for i in llr.indices],
-        "alt_llr_residuals": llr.residuals,
         "alt_eigenvalues": alt.eigenvalues,
         "altdmap_prediction_mse": float(np.mean((psi_hat_tr - psi_tr) ** 2)),
         "size_r2_actual_alt_train":

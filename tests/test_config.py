@@ -248,6 +248,28 @@ def test_a_bad_config_exits_2_naming_its_key(files, tmp_path, capsys,
     assert err.startswith(f"config error: {section}: {key}"), err
 
 
+def test_altdmaps_llr_threshold_is_refused_naming_the_key(files, tmp_path,
+                                                          capsys):
+    # the alternating route regresses psi_1..psi_n_alt_coords; no
+    # selection of its eigenvectors is made, so there is no threshold
+    code, err = run_cli(files, tmp_path, capsys, ["train", "altdmaps"],
+                        {"altdmaps": {"llr_threshold": 0.5}})
+    assert code == 2, err
+    assert err.startswith("config error: unknown keys in altdmaps: "
+                          "['llr_threshold']"), err
+
+
+def test_altdmaps_with_two_eigenpairs_trains_one_common_coordinate(
+        files, tmp_path, capsys):
+    code, err = run_cli(files, tmp_path, capsys, ["train", "altdmaps"],
+                        {"altdmaps": {"n_eig": 2}})
+    assert code == 0, err
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh)
+    assert report["latent_count"] == 1
+    assert report["diagnostics"]["alt_coordinates_used"] == [1]
+
+
 
 # Each passed the schema and exited 2 with numpy's "expected non-negative
 # integer", naming no key.

@@ -244,17 +244,6 @@ class TestTestSetIsolation:
 
 
 class TestAltWorkflow:
-    def test_alt_selection_finds_common_circle(self):
-        config = {"workflow": "altdmaps",
-                  "data": {"synth": {"kind": "two_sensor_common",
-                                     "n_samples": 120, "seed": 4}},
-                  "split": {"test_fraction": 0.2, "seed": 0},
-                  "dmaps": {"n_eig": 8, "coords": "all"},
-                  "altdmaps": {"n_eig": 8}}
-        selected = run_workflow(config).diagnostics["alt_selected_indices"]
-        assert 1 in selected
-        assert 2 in selected
-
     @pytest.mark.parametrize("alt_kind,size_kind", [("gh", "nn"),
                                                     ("gbt", "gbt")])
     def test_online_pairings(self, alt_kind, size_kind):
