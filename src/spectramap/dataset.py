@@ -117,9 +117,8 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
 
     Raises ValueError on a malformed header, ragged rows, a cell that is
     not a number, a non-finite intensity, a non-increasing grid,
-    duplicate ids, or sizes that do not cover every sample.  The
-    messages for a bad header, a ragged row, a bad cell and a non-finite
-    intensity name the file and the line.
+    duplicate ids, or sizes that do not cover every sample.  A refused
+    spectra file is named, with the line when one line is at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -131,6 +130,10 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
             raise ValueError(f"{path}: line {reader.line_num}: header must "
                              "start with 'wavenumber' and list sample ids")
         ids = [h.strip() for h in header[1:]]
+        if len(set(ids)) < len(ids):
+            dup = next(s for i, s in enumerate(ids) if s in ids[:i])
+            raise ValueError(f"{path}: line {reader.line_num}: duplicate "
+                             f"sample ids: {dup!r}")
         grid_vals: List[float] = []
         cols: List[List[float]] = [[] for _ in ids]
         for row in reader:
@@ -145,10 +148,20 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
                     cols[j].append(float(cell))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    grid = WavenumberGrid(np.array(grid_vals))
+    w = np.array(grid_vals)
+    try:
+        grid = WavenumberGrid(w)
+    except ValueError as exc:
+        bad = ~np.isfinite(w)
+        if not bad.any():  # then the first wavenumber not above the last
+            bad[1:] = np.diff(w) <= 0
+        raise ValueError(f"{path}: {exc}" if not bad.any() else _name_cell(
+            path, np.argmax(bad), 0, f"{exc}: wavenumber")) from None
     X = np.array(cols, dtype=float)  # (n_samples, n_wavenumbers)
     if not np.isfinite(X).all():
-        raise ValueError(_non_finite_cell(path, ids, X))
+        i, j = np.argwhere(~np.isfinite(X.T))[0]
+        raise ValueError(_name_cell(path, i, j + 1, f"sample {ids[j]!r} has "
+                                    "non-finite intensity"))
     sizes = None
     if sizes_path is not None:
         table = load_sizes(sizes_path)
@@ -162,16 +175,14 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
     return SpectraSet(grid=grid, intensities=X, sample_ids=tuple(ids), sizes=sizes)
 
 
-def _non_finite_cell(path, ids, X) -> str:
-    """Name the first non-finite intensity in file order by reading the
-    file again; only a refused file pays for this."""
-    i, j = np.argwhere(~np.isfinite(X.T))[0]
+def _name_cell(path, i, j, what) -> str:
+    """`what`, then cell j of the i-th grid row, after the file and the
+    line found by reading the file again; only a refused file pays."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         row = next(itertools.islice((r for r in reader if r), i, None))
-        return (f"{path}: line {reader.line_num}: sample {ids[j]!r} has "
-                f"non-finite intensity {row[j + 1]!r}")
+        return f"{path}: line {reader.line_num}: {what} {row[j]!r}"
 
 
 def save_spectra(dataset: SpectraSet, path, sizes_path=None) -> None:

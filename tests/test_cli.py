@@ -393,3 +393,45 @@ def test_a_refused_spectra_file_is_named_with_its_line(data_dir, trained_run,
         assert f"line {line}:" in err
     if case == "non_finite":
         assert repr(sample) in err and "'inf'" in err
+
+
+def _spectra_lines_with_bad_grid_or_ids(case, lines):
+    """The synthetic spectra file with one defect in its wavenumber
+    column or its header; line 5 is the fourth grid row."""
+    cells = lines[4].split(",")
+    if case == "repeated_wavenumber":
+        cells[0] = lines[3].split(",")[0]
+    elif case == "decreasing_wavenumber":
+        cells[0] = lines[1].split(",")[0]
+    elif case == "nan_wavenumber":
+        cells[0] = "nan"
+    elif case == "duplicate_id":
+        header = lines[0].split(",")
+        header[3] = header[2]
+        lines[0] = ",".join(header)
+    lines[4] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize("case, line, message", [
+    ("repeated_wavenumber", 5, "grid not increasing"),
+    ("decreasing_wavenumber", 5, "grid not increasing"),
+    ("nan_wavenumber", 5, "grid contains non-finite values"),
+    ("duplicate_id", 1, "duplicate sample ids")])
+def test_a_refused_grid_or_sample_id_is_named_with_its_line(
+        data_dir, trained_run, tmp_path, capsys, case, line, message):
+    _, out = trained_run
+    lines = (data_dir / "data" / "spectra.csv").read_text().splitlines()
+    duplicate = lines[0].split(",")[2]
+    bad = tmp_path / f"{case}.csv"
+    bad.write_text("".join(
+        f"{x}\n" for x in _spectra_lines_with_bad_grid_or_ids(case, lines)))
+    pcfg = write_json(tmp_path / "p.json", {"models": str(out / "models"),
+                                           "spectra": str(bad)})
+    capsys.readouterr()
+    assert entry(["predict", "--config", pcfg,
+                  "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line {line}: {message}" in err
+    if case == "duplicate_id":
+        assert repr(duplicate) in err
