@@ -153,7 +153,7 @@ def load_spectra(path, sizes_path=None) -> SpectraSet:
         grid = WavenumberGrid(w)
     except ValueError as exc:
         bad = ~np.isfinite(w)
-        if not bad.any():  # then the first wavenumber not above the last
+        if not bad.any():  # then the first one not above the one before
             bad[1:] = np.diff(w) <= 0
         raise ValueError(f"{path}: {exc}" if not bad.any() else _name_cell(
             path, np.argmax(bad), 0, f"{exc}: wavenumber")) from None
